@@ -15,12 +15,10 @@ use noc_core::{MeshConfig, RouterKind, RoutingKind, TopologyConfig};
 use noc_fault::{FaultCategory, FaultSchedule};
 use noc_sim::json::{write_f64, write_key, write_str};
 use noc_sim::{
-    ClassLatency, IntervalSample, MetricsSink, RecoveryConfig, Registry, SimConfig, Simulation,
+    ClassLatency, IntervalSample, RecoveryConfig, Registry, SimConfig, Simulation, VecMetricsSink,
 };
 use noc_traffic::TrafficKind;
-use std::cell::RefCell;
 use std::fmt::Write as _;
-use std::rc::Rc;
 
 /// One campaign's sweep grid and per-run sizing.
 #[derive(Debug, Clone)]
@@ -201,28 +199,17 @@ pub struct CampaignReport {
     pub cells: Vec<CampaignCell>,
 }
 
-/// A metrics sink sharing its sample store with the harness.
-#[derive(Debug, Default)]
-struct SharedMetrics(Rc<RefCell<Vec<IntervalSample>>>);
-
-impl MetricsSink for SharedMetrics {
-    fn record_sample(&mut self, sample: &IntervalSample) {
-        self.0.borrow_mut().push(sample.clone());
-    }
-}
-
 /// Runs `cfg` to completion with an interval sampler attached.
 fn run_sampled(cfg: SimConfig) -> (noc_sim::SimResults, Vec<IntervalSample>) {
-    let store = Rc::new(RefCell::new(Vec::new()));
+    let sink = VecMetricsSink::new();
     let mut sim = Simulation::new(cfg);
-    sim.set_metrics_sink(Box::new(SharedMetrics(store.clone())));
+    sim.set_metrics_sink(Box::new(sink.clone()));
     while !sim.finished() {
         sim.step();
     }
     sim.finish_observability();
-    let results = sim.results();
-    drop(sim);
-    (results, Rc::try_unwrap(store).expect("sole owner").into_inner())
+    let samples = sink.samples().to_vec();
+    (sim.results(), samples)
 }
 
 fn base_config(c: &CampaignConfig, router: RouterKind, seed: u64) -> SimConfig {
@@ -266,7 +253,7 @@ pub fn run_campaign(c: &CampaignConfig) -> CampaignReport {
         .iter()
         .flat_map(|&router| (0..c.seeds).map(move |k| (router, c.base_seed.wrapping_add(k))))
         .collect();
-    let threads = noc_sim::worker_threads(None).min(units.len()).max(1);
+    let threads = noc_sim::worker_threads().min(units.len()).max(1);
     let next = std::sync::atomic::AtomicUsize::new(0);
     let mut slots: Vec<Option<Vec<CampaignCell>>> = Vec::new();
     slots.resize_with(units.len(), || None);

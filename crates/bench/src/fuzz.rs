@@ -28,11 +28,11 @@
 
 use noc_core::rng::SplitMix64;
 use noc_core::{
-    ComponentFault, Coord, LinkMask, MeshConfig, NodeStatus, RouterKind, RouterNode, RoutingKind,
+    ComponentFault, Coord, LinkMask, MeshConfig, NodeStatus, RouterKind, RoutingKind,
     TopologyConfig,
 };
 use noc_fault::{FaultAction, FaultCategory, FaultEvent, FaultPlan, FaultSchedule};
-use noc_router::AnyRouter;
+use noc_router::Router;
 use noc_sim::{
     retarget_topology, AuditConfig, KernelMode, RecoveryConfig, SimConfig, SimResults, Simulation,
 };
@@ -239,11 +239,11 @@ fn masked_cdg_mismatch(cfg: &SimConfig) -> Option<String> {
     let check_state = |active: &[Vec<ComponentFault>], when: &str| -> Option<String> {
         let statuses: Vec<NodeStatus> = (0..mesh.nodes())
             .map(|i| {
-                let mut r = AnyRouter::build_on(Coord::from_index(i, mesh.width), rcfg, &topo);
+                let mut r = Router::new(Coord::from_index(i, mesh.width), rcfg, &topo);
                 for f in &active[i] {
                     r.inject_fault(*f);
                 }
-                r.status()
+                r.core.status()
             })
             .collect();
         let mask = LinkMask::from_statuses(&topo, &statuses);

@@ -76,7 +76,7 @@ impl Scale {
 /// The worker count honors `NOC_THREADS` ([`noc_sim::worker_threads`]),
 /// the same knob that paces the degradation campaigns.
 pub fn run_batch(configs: Vec<SimConfig>) -> Vec<SimResults> {
-    let threads = noc_sim::worker_threads(None);
+    let threads = noc_sim::worker_threads();
     let next = std::sync::atomic::AtomicUsize::new(0);
     let mut results: Vec<Option<SimResults>> = Vec::new();
     results.resize_with(configs.len(), || None);

@@ -9,12 +9,10 @@ use noc_sim::export::{export_interval, export_profile, export_results};
 use noc_sim::{
     check_slos, parse_slos, CsvTraceSink, IntervalSample, JsonlMetricsSink, JsonlTraceSink,
     MetricsSink, PerfettoTraceSink, RecoveryConfig, Registry, SimConfig, SimResults, Simulation,
-    TraceSink,
+    TraceSink, VecMetricsSink,
 };
-use std::cell::RefCell;
 use std::fmt::Write as _;
 use std::io::BufWriter;
-use std::rc::Rc;
 
 /// Top-level usage text.
 pub const USAGE: &str = "\
@@ -341,17 +339,6 @@ pub fn cmd_run(args: &Args) -> Result<String, ArgError> {
     Ok(out)
 }
 
-/// A metrics sink sharing its sample buffer with the caller (the
-/// `timeline` command reads it back after the run).
-#[derive(Debug, Default)]
-struct SharedMetrics(Rc<RefCell<Vec<IntervalSample>>>);
-
-impl MetricsSink for SharedMetrics {
-    fn record_sample(&mut self, sample: &IntervalSample) {
-        self.0.borrow_mut().push(sample.clone());
-    }
-}
-
 /// One character per window, scaled 0..max over an ASCII density ramp.
 fn sparkline(values: &[f64]) -> String {
     const RAMP: &[u8] = b" .:-=+*#%@";
@@ -399,14 +386,14 @@ pub fn cmd_timeline(args: &Args) -> Result<String, ArgError> {
         cfg.router, cfg.routing, cfg.traffic, cfg.injection_rate, cfg.mesh.width, cfg.mesh.height
     );
     let run_labels = RunLabels::of(&cfg);
-    let samples = Rc::new(RefCell::new(Vec::new()));
+    let sink = VecMetricsSink::new();
     let mut sim = Simulation::new(cfg);
-    sim.set_metrics_sink(Box::new(SharedMetrics(Rc::clone(&samples))));
+    sim.set_metrics_sink(Box::new(sink.clone()));
     while !sim.finished() {
         sim.step();
     }
     sim.finish_observability();
-    let samples = samples.borrow();
+    let samples = sink.samples();
     if json {
         // Machine-readable mode: every window goes through the
         // exporter registry and comes out as JSONL, the same samples

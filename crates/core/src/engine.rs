@@ -2,13 +2,13 @@
 //! upstream view of downstream buffers, look-ahead routing + VA, switch
 //! traversal, injection, and fault bookkeeping.
 //!
-//! The three router architectures (generic, Path-Sensitive, RoCo) are
-//! thin wrappers around [`RouterCore`]: they define their VC layout and
-//! their switch-allocation structure, and delegate the rest here. The
-//! per-cycle contract follows the paper's two-stage pipeline: stage 1 =
-//! buffer write + look-ahead RC + VA + (speculative) SA, stage 2 =
-//! switch traversal, then one cycle of link propagation handled by the
-//! network.
+//! The three router architectures (generic, Path-Sensitive, RoCo) share
+//! [`RouterCore`]; [`crate::Router`] adds only their VC layout, switch
+//! allocation and fault reaction, and callers use this core directly
+//! for everything else. The per-cycle contract follows the paper's
+//! two-stage pipeline: stage 1 = buffer write + look-ahead RC + VA +
+//! (speculative) SA, stage 2 = switch traversal, then one cycle of link
+//! propagation handled by the network.
 
 use noc_arbiter::RoundRobinArbiter;
 use noc_core::{
@@ -205,7 +205,7 @@ pub struct RouterCore {
     /// Per input side: internal VC ids visible on that link, in credit
     /// order. Index 4 (`Local`) lists the injection VCs.
     pub link_map: [Vec<usize>; 5],
-    /// Cached descriptors per link (what `vcs_on_link` returns).
+    /// Cached descriptors per link (what `link_descriptors` returns).
     pub link_descs: [Vec<VcDescriptor>; 5],
     /// Upstream view of each mesh output (None at mesh boundaries).
     pub outputs: [Option<OutputPort>; 4],
@@ -319,10 +319,11 @@ impl RouterCore {
         }
     }
 
-    /// Fixed slab ring capacity of every VC, in VC-id order (see
-    /// [`noc_core::RouterNode::ring_capacities`]): the nominal depth
-    /// plus [`RING_SLOP`] headroom for poison tails. Fault
-    /// reconfiguration shrinks only `desc.capacity`, never the ring.
+    /// Fixed slab ring capacity of every VC, in VC-id order: the
+    /// nominal depth plus `RING_SLOP` headroom for poison tails. The
+    /// simulator sizes the network [`noc_core::FlitSlab`] from this once
+    /// at construction; fault reconfiguration shrinks only
+    /// `desc.capacity`, never the ring.
     pub fn ring_capacities(&self) -> Vec<u32> {
         self.vcs.iter().map(|v| v.nominal_capacity as u32 + RING_SLOP).collect()
     }
@@ -365,7 +366,8 @@ impl RouterCore {
         self.hot_mask = u64::MAX;
     }
 
-    /// Current node status from the fault bookkeeping.
+    /// Current node status from the fault bookkeeping (consumed by the
+    /// neighbours next cycle).
     pub fn status(&self) -> NodeStatus {
         NodeStatus { row: self.module_health[0], col: self.module_health[1], rc_ok: self.rc_ok }
     }
@@ -387,12 +389,17 @@ impl RouterCore {
         &mut self.module_health[Self::module_of(axis)]
     }
 
-    /// The VC descriptors visible on `side` (the `vcs_on_link` answer).
+    /// Descriptors of the input VCs reachable through the link arriving
+    /// on side `side` (what the upstream router runs VA against). For
+    /// `Direction::Local` this is the injection VC set.
     pub fn link_descriptors(&self, side: Direction) -> &[VcDescriptor] {
         &self.link_descs[side.index()]
     }
 
-    /// Accepts a flit from a link.
+    /// Accepts a flit from the upstream neighbour on side `from` into
+    /// input VC `vc` (or hands it to Early Ejection when `vc ==
+    /// EJECT_VC`). Called for everything arriving at the start of a
+    /// cycle, before [`RouterCore::try_inject`] and `Router::step`.
     pub fn deliver_flit(&mut self, slab: &mut SlabWindow<'_>, from: Direction, vc: u8, flit: Flit) {
         if self.node_dead() {
             self.pending_drops.push(flit);
@@ -433,7 +440,8 @@ impl RouterCore {
         self.mark_hot(id);
     }
 
-    /// Accepts a credit for output `output`.
+    /// Accepts a credit returned by the downstream neighbour reached
+    /// through output `output`.
     pub fn deliver_credit(&mut self, output: Direction, credit: noc_core::Credit) {
         let port =
             self.outputs[output.index()].as_mut().expect("credit arrived on an unwired output");
@@ -499,8 +507,9 @@ impl RouterCore {
     /// made unserviceable: streams in disabled VCs and streams
     /// committed to an output this node can no longer drive (§4:
     /// packets fragmented by a fault are discarded, not repaired).
-    /// Called by the network right after a mid-run `inject_fault` (and
-    /// after a repair re-applies the remaining faults).
+    /// Called by the network right after a mid-run
+    /// `Router::inject_fault` (and after a repair re-applies the
+    /// remaining faults).
     pub fn purge_faulted(&mut self, slab: &mut SlabWindow<'_>) {
         self.hot_mask = u64::MAX;
         let own = self.status();
@@ -535,7 +544,8 @@ impl RouterCore {
     /// arbiters and all VC buffers to their fault-free state, and
     /// republishes the link descriptors. In-flight state (queues,
     /// arbiter pointers, credits) is untouched — the network follows up
-    /// with the §4.1 handshake so neighbours resynchronise.
+    /// with the §4.1 handshake so neighbours resynchronise, and
+    /// re-injects whatever faults remain scheduled as active.
     pub fn clear_all_faults(&mut self) {
         self.module_health = [ModuleHealth::Healthy; 2];
         self.rc_ok = true;
@@ -588,9 +598,10 @@ impl RouterCore {
     }
 
     /// Clears every stream arriving on the `from` link after it was
-    /// re-established by a repair (§4.1 handshake): fragments a faulty
-    /// upstream left behind are discarded so the rebuilt credit and VC
-    /// bookkeeping starts from empty buffers.
+    /// re-established by a repair (§4.1 handshake): buffered flits,
+    /// stream state and drop latches are discarded without returning
+    /// upstream credits, so both ends of the rebuilt link restart from
+    /// empty buffers and full credits.
     pub fn reset_input_link(&mut self, slab: &mut SlabWindow<'_>, from: Direction) {
         self.hot_mask = u64::MAX;
         for i in 0..self.link_map[from.index()].len() {
@@ -611,9 +622,10 @@ impl RouterCore {
             + self.pending_drops.len()
     }
 
-    /// Whether a `step` would change nothing (see
-    /// [`noc_core::RouterNode::is_quiescent`]): nothing buffered,
-    /// latched or pending, every VC idle, and no packet mid-injection.
+    /// Whether a `Router::step` would change nothing and consume no
+    /// context RNG, so the simulator's wake-set may skip this router:
+    /// nothing buffered, latched or pending, every VC idle, and no
+    /// packet mid-injection.
     /// A quiescent router's `va_stage` touches no VC, its SA sees no
     /// candidates (so every arbiter stays untouched and every effort
     /// counter stays zero), `hot_open` observes nothing, and no context
@@ -636,8 +648,10 @@ impl RouterCore {
         self.hot_mask |= 1u64 << vc_id;
     }
 
-    /// The persistent busy-VC superset (see
-    /// [`noc_core::RouterNode::hot_mask`]).
+    /// The persistent busy-VC superset: the busy set of the last step,
+    /// widened by every flit that entered a queue since and reset to
+    /// all-ones by fault reconfiguration. The `Soa` kernel passes it as
+    /// `Router::step`'s `scan`.
     pub fn hot_mask(&self) -> u64 {
         self.hot_mask
     }
@@ -654,8 +668,8 @@ impl RouterCore {
         }
     }
 
-    /// Start-of-step scan over the VCs in `scan` (see
-    /// [`noc_core::RouterNode::step`]): one pass that does the per-cycle
+    /// Start-of-step scan over the VCs in `scan` (see `Router::step`):
+    /// one pass that does the per-cycle
     /// telemetry — the buffer-occupancy high-water mark, and a
     /// credit-stall cycle whenever some VC is credit-starved — *and*
     /// computes the busy-VC mask (bit `v` set ⇔ VC `v` is non-idle:
@@ -734,8 +748,8 @@ impl RouterCore {
         StepReport { occupancy, quiescent, busy_vcs: busy }
     }
 
-    /// Point-in-time snapshots of every input VC (see
-    /// [`noc_core::RouterNode::vc_snapshots`]).
+    /// Point-in-time snapshots of every input VC, for telemetry probes
+    /// and stall post-mortems.
     pub fn vc_snapshots(&self, slab: &SlabView<'_>) -> Vec<VcSnapshot> {
         self.vcs
             .iter()
@@ -774,7 +788,8 @@ impl RouterCore {
     }
 
     /// A complete audit snapshot of the shared engine's flow-control
-    /// state (see [`noc_core::RouterNode::audit_probe`]).
+    /// state (credit books, VC states, latched flits) for the runtime
+    /// invariant checker. Called only when auditing is enabled.
     pub fn audit_probe(&self, slab: &SlabView<'_>) -> AuditProbe {
         let vcs = self
             .vcs
@@ -848,8 +863,8 @@ impl RouterCore {
         }
     }
 
-    /// Remaining credits per downstream VC on each wired mesh output
-    /// (see [`noc_core::RouterNode::credit_map`]).
+    /// Remaining credits per downstream VC, keyed by output direction.
+    /// Only mesh outputs that physically exist on this router appear.
     pub fn credit_map(&self) -> Vec<(Direction, Vec<u8>)> {
         Direction::MESH
             .iter()
@@ -1340,7 +1355,9 @@ impl RouterCore {
         false
     }
 
-    /// Shared injection implementation (see [`noc_core::RouterNode::try_inject`]).
+    /// Offers one locally generated flit to the router. Returns `false`
+    /// when no admissible injection VC has space this cycle (the network
+    /// interface will retry).
     ///
     /// Packets whose every first hop is unserviceable because of faults
     /// are accepted and immediately discarded (they count as injected

@@ -1,43 +1,41 @@
 //! # noc-router
 //!
-//! The three router microarchitectures of the RoCo paper (ISCA 2006):
+//! The three router microarchitectures of the RoCo paper (ISCA 2006),
+//! selected by [`noc_core::RouterKind`]:
 //!
-//! * [`RocoRouter`] — the paper's contribution: a Row-Column decoupled
-//!   router with dual 2×2 crossbars, Table-1 Guided Flit Queuing,
+//! * **RoCo** — the paper's contribution: a Row-Column decoupled router
+//!   with dual 2×2 crossbars, Table-1 Guided Flit Queuing,
 //!   Mirroring-Effect switch allocation, Early Ejection and §4's
 //!   Hardware Recycling fault tolerance.
-//! * [`GenericRouter`] — the generic 2-stage 5-port virtual-channel
-//!   baseline with a monolithic 5×5 crossbar (Fig 1a).
-//! * [`PathSensitiveRouter`] — the DAC 2005 Path-Sensitive baseline
-//!   with quadrant path sets and a decomposed 4×4 crossbar.
+//! * **Generic** — the generic 2-stage 5-port virtual-channel baseline
+//!   with a monolithic 5×5 crossbar (Fig 1a).
+//! * **Path-Sensitive** — the DAC 2005 Path-Sensitive baseline with
+//!   quadrant path sets and a decomposed 4×4 crossbar.
 //!
-//! All three implement [`noc_core::RouterNode`] and are driven by the
-//! `noc-sim` network simulator; [`AnyRouter`] dispatches over them.
+//! All three are one concrete [`Router`]: the shared two-stage pipeline
+//! ([`RouterCore`]) plus an architecture-specific switch allocator. The
+//! `noc-sim` network simulator drives a `Vec<Router>`.
 //!
 //! # Examples
 //!
 //! ```
-//! use noc_core::{Coord, MeshConfig, RouterConfig, RouterKind, RouterNode, RoutingKind};
-//! use noc_router::AnyRouter;
+//! use noc_core::{Coord, Direction, MeshConfig, RouterConfig, RouterKind, RoutingKind};
+//! use noc_router::Router;
 //!
 //! let cfg = RouterConfig::paper(RouterKind::RoCo, RoutingKind::Xy);
-//! let router = AnyRouter::build(Coord::new(3, 3), cfg, MeshConfig::new(8, 8));
+//! let router = Router::new(Coord::new(3, 3), cfg, MeshConfig::new(8, 8));
 //! // Table 1: three VCs hang off the West input link under XY routing.
-//! assert_eq!(router.vcs_on_link(noc_core::Direction::West).len(), 3);
+//! assert_eq!(router.core.link_descriptors(Direction::West).len(), 3);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod any;
 mod engine;
-mod generic;
-mod path_sensitive;
 mod roco;
+mod router;
 
-pub use any::AnyRouter;
 pub use engine::{BitIds, OutputPort, OutputVcState, RouterCore, Vc, VcState};
-pub use generic::GenericRouter;
-pub use path_sensitive::PathSensitiveRouter;
-pub use roco::{class_histogram, table1_vcs, ModulePort, RocoRouter, RocoVcSpec};
+pub use roco::{class_histogram, table1_vcs, ModulePort, RocoVcSpec};
+pub use router::Router;

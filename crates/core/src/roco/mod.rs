@@ -1,4 +1,4 @@
-//! The Row-Column (RoCo) Decoupled Router (§3).
+//! The Row-Column (RoCo) Decoupled Router's switch allocation (§3).
 //!
 //! Two operationally independent modules — Row (East/West) and Column
 //! (North/South) — each own a compact 2×2 crossbar, a small VA, and a
@@ -12,17 +12,11 @@ mod vc_config;
 
 pub use vc_config::{class_histogram, table1_vcs, ModulePort, RocoVcSpec};
 
-use crate::engine::{RouterCore, Vc};
+use crate::engine::RouterCore;
 use noc_arbiter::{
     MirrorAllocator, RoundRobinArbiter, SeparableAllocator, SwitchGrant, SwitchRequest,
 };
-use noc_core::{
-    ActivityCounters, Axis, ComponentFault, ContentionCounters, Coord, Credit, Direction, Flit,
-    MeshConfig, ModuleHealth, NodeStatus, RouterConfig, RouterKind, RouterNode, RouterOutputs,
-    SlabView, SlabWindow, StepContext, StepReport, VcDescriptor, VcSnapshot,
-};
-use noc_fault::{reaction, Reaction};
-use noc_routing::RouteComputer;
+use noc_core::{Axis, Direction, ModuleHealth, SlabWindow};
 
 /// Output direction served by `module` (0 = Row, 1 = Column) and
 /// crossbar slot `slot` (0 or 1).
@@ -36,10 +30,10 @@ fn slot_direction(module: usize, slot: usize) -> Direction {
     }
 }
 
-/// The RoCo decoupled router.
+/// RoCo's switch allocator: one 2×2 crossbar per module, each with two
+/// v:1 local arbiters per module-port and a Mirror global arbiter.
 #[derive(Debug)]
-pub struct RocoRouter {
-    core: RouterCore,
+pub(crate) struct Modules {
     /// Internal VC ids per module-port (RowP1, RowP2, ColP1, ColP2).
     port_vcs: [Vec<usize>; 4],
     /// Per module-port, per direction-slot local SA arbiters (the two
@@ -60,72 +54,80 @@ pub struct RocoRouter {
     module_vc_mask: [u64; 2],
 }
 
-impl RocoRouter {
-    /// Builds a RoCo router at `coord`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg.router != RouterKind::RoCo` or the configuration
-    /// fails validation.
-    pub fn new(coord: Coord, cfg: RouterConfig, mesh: MeshConfig) -> Self {
-        RocoRouter::new_on(coord, cfg, noc_core::Topology::mesh(mesh))
-    }
-
-    /// Builds a RoCo router at `coord` on an arbitrary (mesh-family)
-    /// topology.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg.router != RouterKind::RoCo`, the configuration
-    /// fails validation, or the topology rejects this router
-    /// (wraparound topologies do — the Table-1 VC layout cannot express
-    /// dateline classes).
-    pub fn new_on(coord: Coord, cfg: RouterConfig, topo: noc_core::Topology) -> Self {
-        use noc_core::TopologyOps;
-        assert_eq!(cfg.router, RouterKind::RoCo, "configuration is for a different router");
-        cfg.validate().expect("invalid router configuration");
-        topo.check_support(cfg.router, cfg.routing, cfg.vcs_per_port as usize)
-            .expect("topology rejects this router configuration");
-        let computer = RouteComputer::on(cfg.routing, topo);
-        let specs = table1_vcs(&cfg);
-        // Build VCs and the per-link DEMUX map.
-        let mut link_map: [Vec<usize>; 5] = Default::default();
-        let mut port_vcs: [Vec<usize>; 4] = Default::default();
-        let mut vcs = Vec::with_capacity(specs.len());
-        for (id, spec) in specs.iter().enumerate() {
-            let side = spec.desc.arrival.expect("Table-1 VCs have a unique arrival port");
-            let link_index = link_map[side.index()].len() as u8;
-            link_map[side.index()].push(id);
-            port_vcs[spec.port as usize].push(id);
-            vcs.push(Vc::new(spec.desc, side, link_index, spec.port as u8));
-        }
-        let core = RouterCore::new(coord, cfg, computer, vcs, link_map);
+impl Modules {
+    /// Builds the allocator over the Table-1 module-port VC groups.
+    pub(crate) fn new(port_vcs: [Vec<usize>; 4], vcs_per_port: usize) -> Self {
+        let n_vcs = port_vcs.iter().map(Vec::len).sum();
         let mut module_vc_mask = [0u64; 2];
         for (port, ids) in port_vcs.iter().enumerate() {
             for &vc in ids {
                 module_vc_mask[port / 2] |= 1u64 << vc;
             }
         }
-        RocoRouter {
-            core,
+        Modules {
             port_vcs,
             dir_arbs: std::array::from_fn(|_| {
-                std::array::from_fn(|_| RoundRobinArbiter::new(cfg.vcs_per_port as usize))
+                std::array::from_fn(|_| RoundRobinArbiter::new(vcs_per_port))
             }),
             mirrors: [MirrorAllocator::new(), MirrorAllocator::new()],
             separable: [
-                SeparableAllocator::new(2, 2, cfg.vcs_per_port as usize),
-                SeparableAllocator::new(2, 2, cfg.vcs_per_port as usize),
+                SeparableAllocator::new(2, 2, vcs_per_port),
+                SeparableAllocator::new(2, 2, vcs_per_port),
             ],
             // Pre-sized to their per-cycle worst case (one entry per
             // VC): recycled scratch must never grow on the hot path,
             // even when the first busy cycle lands late in a run.
-            sa_requests: Vec::with_capacity(specs.len()),
-            sa_grants: Vec::with_capacity(specs.len()),
-            sa_lines: Vec::with_capacity(specs.len()),
-            sa_eligible: Vec::with_capacity(specs.len()),
+            sa_requests: Vec::with_capacity(n_vcs),
+            sa_grants: Vec::with_capacity(n_vcs),
+            sa_lines: Vec::with_capacity(n_vcs),
+            sa_eligible: Vec::with_capacity(n_vcs),
             module_vc_mask,
         }
+    }
+
+    /// Internal VC ids of `module` (0 = Row, 1 = Column) in port order:
+    /// the buffer pool a module-scoped fault acts on.
+    pub(crate) fn module_vcs(&self, module: usize) -> impl Iterator<Item = usize> + '_ {
+        self.port_vcs[2 * module..2 * module + 2].iter().flatten().copied()
+    }
+
+    /// Switch allocation for both modules in one step. `va_activity` is
+    /// the step's per-module VA activity (the SA-offload fault model).
+    /// Returns whether a tail departure freed a downstream VC.
+    pub(crate) fn allocate(
+        &mut self,
+        core: &mut RouterCore,
+        slab: &mut SlabWindow<'_>,
+        sweep: u64,
+        va_activity: [bool; 2],
+    ) -> bool {
+        let mut freed = false;
+        // Index loop on purpose: `module` selects health, degradation,
+        // VA activity, and the allocator sweep together.
+        #[allow(clippy::needless_range_loop)]
+        for module in 0..2 {
+            // A module with no swept VC has no SA candidates: running it
+            // would touch no arbiter and no counter, so skipping it
+            // outright is bit-exact.
+            if sweep & self.module_vc_mask[module] == 0 {
+                continue;
+            }
+            if core.module_health[module] == ModuleHealth::Dead {
+                continue;
+            }
+            // SA fault: arbitration is offloaded to the VA arbiters via
+            // 2-to-1 MUXes (Fig 7) and can only run in cycles where the
+            // VA left them idle.
+            if core.sa_degraded[module] && va_activity[module] {
+                continue;
+            }
+            freed |= if core.cfg.mirror_allocator {
+                self.module_sa(core, slab, module, sweep)
+            } else {
+                self.module_sa_separable(core, slab, module, sweep)
+            };
+        }
+        freed
     }
 
     /// Ablation SA: plain input-first separable allocation on the 2×2
@@ -133,6 +135,7 @@ impl RocoRouter {
     /// port's two directions is possible).
     fn module_sa_separable(
         &mut self,
+        core: &mut RouterCore,
         slab: &mut SlabWindow<'_>,
         module: usize,
         sweep: u64,
@@ -150,7 +153,7 @@ impl RocoRouter {
                 if sweep & (1u64 << vc) == 0 {
                     continue;
                 }
-                if let Some(want) = self.core.sa_candidate(&slab.as_view(), vc) {
+                if let Some(want) = core.sa_candidate(&slab.as_view(), vc) {
                     let slot = (0..2)
                         .find(|&s| slot_direction(module, s) == want)
                         .expect("module VCs only want module outputs");
@@ -160,52 +163,32 @@ impl RocoRouter {
             }
         }
         let effort = self.separable[module].allocate_into(requests, &mut self.sa_grants);
-        self.core.counters.sa_local_arbs += effort.local_ops;
-        self.core.counters.sa_global_arbs += effort.global_ops;
+        core.counters.sa_local_arbs += effort.local_ops;
+        core.counters.sa_global_arbs += effort.global_ops;
         let mut port_granted = [false; 2];
         for g in &self.sa_grants {
             let vc = self.port_vcs[ports[g.input]][g.vc];
-            freed |= self.core.apply_grant(slab, vc);
+            freed |= core.apply_grant(slab, vc);
             port_granted[g.input] = true;
         }
         let axis = if module == 0 { Axis::X } else { Axis::Y };
         for pi in 0..2 {
             if port_had_request[pi] {
-                self.core.record_contention(axis, port_granted[pi]);
+                core.record_contention(axis, port_granted[pi]);
             }
         }
         freed
     }
 
-    /// Wires the output towards `dir` to the downstream VC list.
-    pub fn connect_output(&mut self, dir: Direction, descs: &[VcDescriptor]) {
-        self.core.connect_output(dir, descs);
-    }
-
-    /// Mutable access to the shared engine, for mutation-style negative
-    /// tests that deliberately corrupt flow-control state to prove the
-    /// audit layer notices. Never call this from simulation code.
-    #[doc(hidden)]
-    pub fn test_core_mut(&mut self) -> &mut RouterCore {
-        &mut self.core
-    }
-
-    /// Lifetime flit writes per Table-1 buffer class — quantifies the
-    /// §3.1 utilization claims (e.g. "the injection channel Injxy is
-    /// much more frequently used than Injyx" under XY routing).
-    pub fn class_utilization(&self) -> std::collections::BTreeMap<noc_core::VcClass, u64> {
-        let mut map = std::collections::BTreeMap::new();
-        for vc in &self.core.vcs {
-            if let noc_core::VcAdmission::Class(c) = vc.desc.admission {
-                *map.entry(c).or_insert(0) += vc.writes;
-            }
-        }
-        map
-    }
-
     /// Switch allocation for one module using the Mirroring Effect.
     /// Returns whether a tail departure freed a downstream VC.
-    fn module_sa(&mut self, slab: &mut SlabWindow<'_>, module: usize, sweep: u64) -> bool {
+    fn module_sa(
+        &mut self,
+        core: &mut RouterCore,
+        slab: &mut SlabWindow<'_>,
+        module: usize,
+        sweep: u64,
+    ) -> bool {
         let mut freed = false;
         let ports = [2 * module, 2 * module + 1];
         // Local stage: per port, per direction, a v:1 arbiter picks one
@@ -226,15 +209,15 @@ impl RocoRouter {
                 // bit-exact (see `RouterCore::hot_open`).
                 lines.extend(self.port_vcs[port].iter().map(|&vc| {
                     sweep & (1u64 << vc) != 0
-                        && self.core.sa_candidate(&slab.as_view(), vc) == Some(want)
+                        && core.sa_candidate(&slab.as_view(), vc) == Some(want)
                 }));
                 for (vi, &l) in lines.iter().enumerate() {
-                    if l && self.core.vcs[self.port_vcs[port][vi]].input_side != Direction::Local {
+                    if l && core.vcs[self.port_vcs[port][vi]].input_side != Direction::Local {
                         eligible.push(self.port_vcs[port][vi]);
                     }
                 }
                 if lines.iter().any(|&l| l) {
-                    self.core.counters.sa_local_arbs += 1;
+                    core.counters.sa_local_arbs += 1;
                     if let Some(w) = self.dir_arbs[port][slot].arbitrate(&lines) {
                         cand[pi][slot] = Some(self.port_vcs[port][w]);
                     }
@@ -247,14 +230,14 @@ impl RocoRouter {
         ];
         if requests.iter().flatten().any(|&r| r) {
             // Global stage: a single 2:1 mirror arbitration per module.
-            self.core.counters.sa_global_arbs += 1;
+            core.counters.sa_global_arbs += 1;
             let grant = self.mirrors[module].allocate(requests);
             let axis = if module == 0 { Axis::X } else { Axis::Y };
             let mut granted_vcs = [None, None];
             for (pi, slot) in [(0, grant.port0), (1, grant.port1)] {
                 if let Some(s) = slot {
                     let vc = cand[pi][s].expect("mirror grants only requested slots");
-                    freed |= self.core.apply_grant(slab, vc);
+                    freed |= core.apply_grant(slab, vc);
                     granted_vcs[pi] = Some(vc);
                 }
             }
@@ -262,195 +245,11 @@ impl RocoRouter {
             // module's axis (row module = row inputs, column = column).
             for &vc in &eligible {
                 let granted = granted_vcs.contains(&Some(vc));
-                self.core.record_contention(axis, granted);
+                core.record_contention(axis, granted);
             }
         }
         self.sa_eligible = eligible;
         self.sa_lines = lines;
         freed
-    }
-}
-
-impl RouterNode for RocoRouter {
-    fn coord(&self) -> Coord {
-        self.core.coord
-    }
-
-    fn config(&self) -> &RouterConfig {
-        &self.core.cfg
-    }
-
-    fn vcs_on_link(&self, dir: Direction) -> &[VcDescriptor] {
-        self.core.link_descriptors(dir)
-    }
-
-    fn ring_capacities(&self) -> Vec<u32> {
-        self.core.ring_capacities()
-    }
-
-    fn deliver_flit(&mut self, slab: &mut SlabWindow<'_>, from: Direction, vc: u8, flit: Flit) {
-        self.core.deliver_flit(slab, from, vc, flit);
-    }
-
-    fn deliver_credit(&mut self, output: Direction, credit: Credit) {
-        self.core.deliver_credit(output, credit);
-    }
-
-    fn try_inject(
-        &mut self,
-        slab: &mut SlabWindow<'_>,
-        flit: Flit,
-        ctx: &mut StepContext<'_>,
-    ) -> bool {
-        self.core.try_inject(slab, flit, ctx)
-    }
-
-    fn step(
-        &mut self,
-        ctx: &mut StepContext<'_>,
-        slab: &mut SlabWindow<'_>,
-        out: &mut RouterOutputs,
-        scan: u64,
-    ) -> StepReport {
-        out.clear();
-        let (busy, sweep) = self.core.hot_open(&slab.as_view(), scan);
-        self.core.flush(out);
-        if self.core.node_dead() {
-            return self.core.hot_close(busy, sweep);
-        }
-        let va_activity = self.core.va_stage(ctx, slab, sweep);
-        let mut freed = false;
-        // Index loop on purpose: `module` selects health, degradation,
-        // VA activity, and the allocator sweep together.
-        #[allow(clippy::needless_range_loop)]
-        for module in 0..2 {
-            // A module with no swept VC has no SA candidates: running it
-            // would touch no arbiter and no counter, so skipping it
-            // outright is bit-exact.
-            if sweep & self.module_vc_mask[module] == 0 {
-                continue;
-            }
-            if self.core.module_health[module] == ModuleHealth::Dead {
-                continue;
-            }
-            // SA fault: arbitration is offloaded to the VA arbiters via
-            // 2-to-1 MUXes (Fig 7) and can only run in cycles where the
-            // VA left them idle.
-            if self.core.sa_degraded[module] && va_activity[module] {
-                continue;
-            }
-            freed |= if self.core.cfg.mirror_allocator {
-                self.module_sa(slab, module, sweep)
-            } else {
-                self.module_sa_separable(slab, module, sweep)
-            };
-        }
-        if freed {
-            // Tail departures freed downstream VCs: a further VA
-            // iteration lets waiting heads claim them without a bubble.
-            // The sweep stays a sound superset: no VC gains flits
-            // mid-step.
-            self.core.va_stage(ctx, slab, sweep);
-        }
-        self.core.hot_close(busy, sweep)
-    }
-
-    fn hot_mask(&self) -> u64 {
-        self.core.hot_mask()
-    }
-
-    fn is_quiescent(&self) -> bool {
-        self.core.is_quiescent()
-    }
-
-    fn status(&self) -> NodeStatus {
-        self.core.status()
-    }
-
-    fn inject_fault(&mut self, fault: ComponentFault) {
-        match reaction(RouterKind::RoCo, fault.component) {
-            Reaction::ModuleBlocked => {
-                *self.core.module_health_mut(fault.axis) = ModuleHealth::Dead;
-                let module = if fault.axis == Axis::X { 0 } else { 1 };
-                for port in [2 * module, 2 * module + 1] {
-                    for &vc in &self.port_vcs[port] {
-                        self.core.vcs[vc].disabled = true;
-                        self.core.vcs[vc].desc.capacity = 0;
-                    }
-                }
-                self.core.refresh_link_descs();
-            }
-            Reaction::DoubleRouting => {
-                self.core.rc_ok = false;
-            }
-            Reaction::VirtualQueuing => {
-                // §4.1/Fig 6: the faulty buffer is bypassed — flits are
-                // physically stored at the previous node and virtually
-                // queued/arbitrated here through the bypass register.
-                // Model: the VC stays in service with an effective
-                // depth of one flit (the bypass latch), so it streams
-                // at the credit round-trip rate: degraded, never lost.
-                let module = if fault.axis == Axis::X { 0 } else { 1 };
-                let pool: Vec<usize> = self.port_vcs[2 * module]
-                    .iter()
-                    .chain(&self.port_vcs[2 * module + 1])
-                    .copied()
-                    .collect();
-                let vc = pool[fault.vc as usize % pool.len()];
-                self.core.vcs[vc].desc.capacity = 1;
-                if *self.core.module_health_mut(fault.axis) == ModuleHealth::Healthy {
-                    *self.core.module_health_mut(fault.axis) = ModuleHealth::Degraded;
-                }
-                self.core.refresh_link_descs();
-            }
-            Reaction::SaOffload => {
-                let module = if fault.axis == Axis::X { 0 } else { 1 };
-                self.core.sa_degraded[module] = true;
-                if *self.core.module_health_mut(fault.axis) == ModuleHealth::Healthy {
-                    *self.core.module_health_mut(fault.axis) = ModuleHealth::Degraded;
-                }
-            }
-            Reaction::NodeBlocked => unreachable!("RoCo never blocks the whole node (§4.1)"),
-        }
-    }
-
-    fn clear_faults(&mut self) {
-        self.core.clear_all_faults();
-    }
-
-    fn purge_faulted(&mut self, slab: &mut SlabWindow<'_>) {
-        self.core.purge_faulted(slab);
-    }
-
-    fn resync_output(&mut self, slab: &mut SlabWindow<'_>, dir: Direction, descs: &[VcDescriptor]) {
-        self.core.resync_output(slab, dir, descs);
-    }
-
-    fn reset_input_link(&mut self, slab: &mut SlabWindow<'_>, from: Direction) {
-        self.core.reset_input_link(slab, from);
-    }
-
-    fn counters(&self) -> &ActivityCounters {
-        &self.core.counters
-    }
-
-    fn contention(&self) -> &ContentionCounters {
-        &self.core.contention
-    }
-
-    fn occupancy(&self) -> usize {
-        self.core.occupancy()
-    }
-
-    fn vc_snapshots(&self, slab: &SlabView<'_>) -> Vec<VcSnapshot> {
-        self.core.vc_snapshots(slab)
-    }
-
-    fn credit_map(&self) -> Vec<(Direction, Vec<u8>)> {
-        self.core.credit_map()
-    }
-
-    fn audit_probe(&self, slab: &SlabView<'_>) -> noc_core::AuditProbe {
-        self.core.audit_probe(slab)
     }
 }

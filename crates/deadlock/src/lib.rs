@@ -8,7 +8,7 @@
 //! **acyclic**, the configuration cannot deadlock.
 //!
 //! The analysis builds the exact channel set a real network publishes
-//! (each router's `vcs_on_link` descriptors, including Table-1 class /
+//! (each router's published link descriptors, including Table-1 class /
 //! arrival / turn / order filters), explores the packet states
 //! `(channel, destination, dimension order)` reachable from injection,
 //! adds a dependency edge for every legal wait, and runs an iterative
@@ -23,10 +23,10 @@
 #![warn(missing_debug_implementations)]
 
 use noc_core::{
-    AxisOrder, Coord, Direction, LinkMask, MeshConfig, RouterConfig, RouterKind, RouterNode,
-    RoutingKind, Topology, TopologyOps, VcDescriptor, VcRequest,
+    AxisOrder, Coord, Direction, LinkMask, MeshConfig, RouterConfig, RouterKind, RoutingKind,
+    Topology, TopologyOps, VcDescriptor, VcRequest,
 };
-use noc_router::AnyRouter;
+use noc_router::Router;
 use noc_routing::{quadrant_mask, DirSet, RouteComputer};
 use std::collections::{HashMap, HashSet, VecDeque};
 
@@ -126,9 +126,9 @@ impl CdgAnalyzer {
         let mut links = HashMap::new();
         for i in 0..topo.nodes() {
             let coord = Coord::from_index(i, grid.width);
-            let r = AnyRouter::build_on(coord, cfg, &topo);
+            let r = Router::new(coord, cfg, &topo);
             for side in Direction::ALL {
-                links.insert((coord, side), r.vcs_on_link(side).to_vec());
+                links.insert((coord, side), r.core.link_descriptors(side).to_vec());
             }
         }
         let computer = RouteComputer::on(routing, topo.clone());

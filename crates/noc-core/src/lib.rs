@@ -2,9 +2,10 @@
 //!
 //! Shared data model for the RoCo (Row-Column decoupled router, ISCA
 //! 2006) reproduction: mesh geometry, flits and packets, virtual-channel
-//! classes, router/mesh configuration, the [`RouterNode`] abstraction
-//! driven by the cycle-accurate simulator, and activity counters for the
-//! energy model.
+//! classes, router/mesh configuration, the per-cycle step interface
+//! ([`StepContext`], [`RouterOutputs`], [`StepReport`]) between the
+//! routers and the cycle-accurate simulator, and activity counters for
+//! the energy model.
 //!
 //! Architecture-specific logic lives elsewhere: arbiters in
 //! `noc-arbiter`, routing functions in `noc-routing`, router
@@ -48,8 +49,8 @@ pub use flit::{Cycle, Flit, FlitKind, Packet, PacketId};
 pub use geometry::{Axis, AxisOrder, Coord, Direction};
 pub use mask::{LinkMask, ReachabilityMap};
 pub use node::{
-    router_rng, ComponentFault, FaultComponent, ModuleHealth, NodeStatus, RouterNode,
-    RouterOutputs, StepContext, StepReport, ALL_VCS, EJECT_VC, RNG_STREAM_INJECT, RNG_STREAM_STEP,
+    router_rng, ComponentFault, FaultComponent, ModuleHealth, NodeStatus, RouterOutputs,
+    StepContext, StepReport, ALL_VCS, EJECT_VC, RNG_STREAM_INJECT, RNG_STREAM_STEP,
 };
 pub use probe::{AuditProbe, CreditBook, LatchedFlit, VcAudit, VcPhase, VcSnapshot};
 pub use slab::{FlitSlab, SlabView, SlabWindow};

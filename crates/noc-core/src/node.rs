@@ -1,21 +1,18 @@
-//! The router-node abstraction the network simulator drives.
+//! The per-cycle interface between a router and the network simulator.
 //!
-//! Every router architecture (generic, Path-Sensitive, RoCo) implements
-//! [`RouterNode`]; the simulator in `noc-sim` is generic over it. The
-//! trait's contract encodes the paper's two-stage pipeline: flits and
-//! credits delivered at the start of a cycle may be acted upon by the
-//! same cycle's allocation stage, and `step` returns everything that
-//! leaves the router during that cycle (flits begin their single-cycle
-//! link traversal when `step` emits them).
+//! The router itself (`noc_router::Router`, one concrete type for all
+//! three architectures) lives downstream; this module holds what both
+//! sides exchange. The contract encodes the paper's two-stage pipeline:
+//! flits and credits delivered at the start of a cycle may be acted upon
+//! by the same cycle's allocation stage, and `Router::step` writes
+//! everything that leaves the router during that cycle into
+//! [`RouterOutputs`] (flits begin their single-cycle link traversal when
+//! `step` emits them).
 
-use crate::config::RouterConfig;
-use crate::counters::{ActivityCounters, ContentionCounters};
 use crate::flit::{Cycle, Flit};
-use crate::geometry::{Axis, Coord, Direction};
-use crate::probe::{AuditProbe, VcSnapshot};
+use crate::geometry::{Axis, Direction};
 use crate::rng::{SmallRng, SplitMix64};
-use crate::slab::{SlabView, SlabWindow};
-use crate::vc::{Credit, VcDescriptor};
+use crate::vc::Credit;
 
 /// Sentinel VC index used when transferring a flit that will be handled
 /// by Early Ejection downstream (no downstream VC is allocated).
@@ -92,11 +89,11 @@ impl Default for NodeStatus {
 }
 
 /// Stream selector for [`router_rng`]: draws consumed inside
-/// [`RouterNode::step`].
+/// `Router::step`.
 pub const RNG_STREAM_STEP: u64 = 0;
 
 /// Stream selector for [`router_rng`]: draws consumed inside
-/// [`RouterNode::try_inject`].
+/// `RouterCore::try_inject`.
 pub const RNG_STREAM_INJECT: u64 = 1;
 
 /// Derives the counter-based RNG stream a router draws from during one
@@ -122,7 +119,7 @@ pub fn router_rng(master_seed: u64, router_index: usize, cycle: Cycle, stream: u
     SmallRng::seed_from_u64(h)
 }
 
-/// Per-cycle context handed to [`RouterNode::step`].
+/// Per-cycle context handed to `Router::step`.
 #[derive(Debug)]
 pub struct StepContext<'a> {
     /// Current simulation cycle.
@@ -191,7 +188,7 @@ impl RouterOutputs {
 
     /// Empties every list while keeping the allocations, so one
     /// `RouterOutputs` can serve as a reusable scratch buffer across
-    /// routers and cycles ([`RouterNode::step`] calls this on entry).
+    /// routers and cycles (`Router::step` calls this on entry).
     pub fn clear(&mut self) {
         self.flits.clear();
         self.credits.clear();
@@ -200,14 +197,14 @@ impl RouterOutputs {
     }
 }
 
-/// The scan mask that makes [`RouterNode::step`] visit every VC: the
+/// The scan mask that makes `Router::step` visit every VC: the
 /// Reference kernel's setting, which never consults the router's
-/// persistent [`RouterNode::hot_mask`].
+/// persistent `RouterCore::hot_mask`.
 pub const ALL_VCS: u64 = u64::MAX;
 
-/// What one [`RouterNode::step`] reports back to the simulator, so the
-/// caller needs no follow-up [`RouterNode::occupancy`] /
-/// [`RouterNode::is_quiescent`] sweeps.
+/// What one `Router::step` reports back to the simulator, so the
+/// caller needs no follow-up `RouterCore::occupancy` /
+/// `RouterCore::is_quiescent` sweeps.
 #[derive(Debug, Clone, Copy)]
 pub struct StepReport {
     /// Flits buffered after the step (same value `occupancy()` would
@@ -220,148 +217,6 @@ pub struct StepReport {
     /// the start of the step (non-empty queue, non-`Idle` state, or
     /// mid-drop).
     pub busy_vcs: u64,
-}
-
-/// A wormhole-switched virtual-channel router that the mesh simulator
-/// can drive cycle by cycle.
-///
-/// # Contract
-///
-/// * `deliver_flit` / `deliver_credit` are called for everything arriving
-///   at the start of a cycle, then `try_inject` for local traffic, then
-///   `step` exactly once.
-/// * `step` must be deterministic given the delivered inputs and the
-///   context RNG.
-/// * Flits emitted from `step` arrive at the neighbour after the link
-///   delay; credits likewise.
-/// * Flit buffers live outside the router, in the network-wide
-///   [`crate::FlitSlab`] (ISSUE 10): every method that touches buffered
-///   flits receives this router's [`SlabWindow`] (or a read-only
-///   [`SlabView`]), whose ring `r` holds internal VC `r`'s flits. The
-///   ring layout must match [`RouterNode::ring_capacities`].
-pub trait RouterNode {
-    /// This router's mesh position.
-    fn coord(&self) -> Coord;
-
-    /// The configuration the router was built with.
-    fn config(&self) -> &RouterConfig;
-
-    /// Fixed slab ring capacity of every internal VC, in VC-id order:
-    /// the nominal buffer depth plus the poison-tail credit slop. The
-    /// simulator sizes the network [`crate::FlitSlab`] from this once at
-    /// construction; fault reconfiguration never changes it.
-    fn ring_capacities(&self) -> Vec<u32>;
-
-    /// Descriptors of the input VCs reachable through the link arriving
-    /// on side `dir` (what the upstream router runs VA against). For
-    /// `Direction::Local` this is the injection VC set.
-    fn vcs_on_link(&self, dir: Direction) -> &[VcDescriptor];
-
-    /// Accepts a flit from the upstream neighbour on side `from` into
-    /// input VC `vc` (or hands it to Early Ejection when `vc == EJECT_VC`).
-    fn deliver_flit(&mut self, slab: &mut SlabWindow<'_>, from: Direction, vc: u8, flit: Flit);
-
-    /// Accepts a credit returned by the downstream neighbour reached
-    /// through output `output`.
-    fn deliver_credit(&mut self, output: Direction, credit: Credit);
-
-    /// Offers one locally generated flit to the router. Returns `false`
-    /// when no admissible injection VC has space this cycle (the network
-    /// interface will retry).
-    fn try_inject(
-        &mut self,
-        slab: &mut SlabWindow<'_>,
-        flit: Flit,
-        ctx: &mut StepContext<'_>,
-    ) -> bool;
-
-    /// Advances the router one cycle: VA, SA and switch traversal.
-    ///
-    /// `scan` is a superset of the internal VCs that may be busy (bit
-    /// `v` = VC `v`). The step scans those VCs once, and VA and SA then
-    /// visit only the ones found busy: a VC outside the mask is empty
-    /// and `Idle` and stays so for the whole step, so skipping it is
-    /// bit-exact. The `Soa` kernel passes [`RouterNode::hot_mask`];
-    /// the Reference kernel passes [`ALL_VCS`], which makes VA and SA
-    /// sweep every VC as an independent oracle for the busy-mask logic.
-    ///
-    /// Everything leaving the router this cycle is written into `out`,
-    /// a caller-owned scratch buffer that the router clears on entry —
-    /// the steady-state hot loop performs no heap allocation this way.
-    fn step(
-        &mut self,
-        ctx: &mut StepContext<'_>,
-        slab: &mut SlabWindow<'_>,
-        out: &mut RouterOutputs,
-        scan: u64,
-    ) -> StepReport;
-
-    /// The router's persistent busy-VC superset: the busy set of its
-    /// last step, widened by every flit that entered a queue since and
-    /// reset to all-ones by fault reconfiguration.
-    fn hot_mask(&self) -> u64;
-
-    /// Whether the router holds no flits, no pending emissions and no
-    /// non-idle pipeline state, so that a [`RouterNode::step`] call
-    /// would change nothing and consume no context RNG. The simulator's
-    /// wake-set skips such routers.
-    fn is_quiescent(&self) -> bool;
-
-    /// Current operational status (consumed by neighbours next cycle).
-    fn status(&self) -> NodeStatus;
-
-    /// Injects a hardware fault (§4). May be called mid-run; the
-    /// simulator follows up with [`RouterNode::purge_faulted`] so
-    /// in-flight flits caught at the afflicted component are discarded
-    /// or fragmented per §4.1.
-    fn inject_fault(&mut self, fault: ComponentFault);
-
-    /// Repairs every active fault: restores module health, RC, SA and
-    /// all VC capacities to their built state. The simulator re-injects
-    /// whatever faults remain scheduled as active afterwards.
-    fn clear_faults(&mut self);
-
-    /// Post-fault cleanup for mid-run injection: aborts streams wedged
-    /// in now-disabled VCs (discarding their buffered flits, crediting
-    /// the upstream router, and emitting poison tails for fragments
-    /// whose head already moved on — see [`Flit::poison`]).
-    fn purge_faulted(&mut self, slab: &mut SlabWindow<'_>);
-
-    /// Re-synchronizes this router's view of the downstream VCs behind
-    /// output `dir` after the neighbour republished its operational
-    /// state (the §4.1 handshake): adopts the new descriptors and
-    /// clamps credit/free state, without resetting arbiters.
-    fn resync_output(&mut self, slab: &mut SlabWindow<'_>, dir: Direction, descs: &[VcDescriptor]);
-
-    /// Discards all state of the input VCs fed by the link arriving on
-    /// side `from` — buffered flits, stream state, drop latches —
-    /// without returning upstream credits. Used when a repaired
-    /// neighbour's output port toward this router is rebuilt from
-    /// scratch, so both ends restart from an empty, fully credited
-    /// link.
-    fn reset_input_link(&mut self, slab: &mut SlabWindow<'_>, from: Direction);
-
-    /// Cumulative activity counters for the energy model.
-    fn counters(&self) -> &ActivityCounters;
-
-    /// Cumulative switch-allocation contention counters (Fig 3).
-    fn contention(&self) -> &ContentionCounters;
-
-    /// Number of flits currently buffered (for drain detection).
-    fn occupancy(&self) -> usize;
-
-    /// A point-in-time snapshot of every input VC, for telemetry probes
-    /// and stall post-mortems.
-    fn vc_snapshots(&self, slab: &SlabView<'_>) -> Vec<VcSnapshot>;
-
-    /// Remaining credits per downstream VC, keyed by output direction.
-    /// Only mesh outputs that physically exist on this router appear.
-    fn credit_map(&self) -> Vec<(Direction, Vec<u8>)>;
-
-    /// A complete audit snapshot (credit books, VC states, latched
-    /// flits) for the runtime invariant checker. Called only when
-    /// auditing is enabled.
-    fn audit_probe(&self, slab: &SlabView<'_>) -> AuditProbe;
 }
 
 /// The six fundamental router components of §4.1's fault model.

@@ -133,7 +133,7 @@ pub struct LatchedFlit {
 }
 
 /// A complete audit snapshot of one router, consumed by the simulator's
-/// invariant checker ([`crate::node::RouterNode::audit_probe`]). Built
+/// invariant checker (`RouterCore::audit_probe` in `noc-router`). Built
 /// only when auditing is enabled; the hot path never allocates it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AuditProbe {

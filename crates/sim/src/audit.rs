@@ -43,7 +43,7 @@
 
 use crate::config::AuditConfig;
 use crate::network::Simulation;
-use noc_core::{AuditProbe, Coord, Cycle, Direction, Flit, NodeStatus, RouterNode, EJECT_VC};
+use noc_core::{AuditProbe, Coord, Cycle, Direction, Flit, NodeStatus, EJECT_VC};
 use std::collections::{HashMap, HashSet};
 
 /// The invariant families the auditor distinguishes. Mutation-style
@@ -723,8 +723,12 @@ impl Auditor {
         self.checks_run += 1;
         let cycle = sim.cycle;
         let nodes = sim.routers.len();
-        let probes: Vec<AuditProbe> =
-            sim.routers.iter().enumerate().map(|(i, r)| r.audit_probe(&sim.slab.view(i))).collect();
+        let probes: Vec<AuditProbe> = sim
+            .routers
+            .iter()
+            .enumerate()
+            .map(|(i, r)| r.core.audit_probe(&sim.slab.view(i)))
+            .collect();
 
         // Receiver-side index: (node, side, link_index) -> probe VC slot.
         let mut rcv: Vec<[Vec<usize>; 5]> = Vec::with_capacity(nodes);
@@ -1009,7 +1013,7 @@ impl Auditor {
                     "slab ring index out of bounds (head or len exceeds ring capacity)".into(),
                 );
             }
-            if !sim.wake.is_awake(i) && !sim.routers[i].is_quiescent() {
+            if !sim.wake.is_awake(i) && !sim.routers[i].core.is_quiescent() {
                 self.violate(
                     AuditKind::Quiescence,
                     cycle,
@@ -1285,7 +1289,7 @@ mod tests {
         assert!(sim.results().audit.expect("enabled").clean(), "corrupted before mutation");
         let mut hit = false;
         'outer: for i in 0..sim.routers.len() {
-            let core = sim.routers[i].test_core_mut();
+            let core = &mut sim.routers[i].core;
             for d in 0..4 {
                 if let Some(p) = core.outputs[d].as_mut() {
                     if let Some(v) = p.vcs.iter_mut().find(|v| v.credits > 0) {
@@ -1329,7 +1333,7 @@ mod tests {
         // An interior node, on a link VC that is idle, empty, and not
         // about to receive a genuine flit: the forged body is an orphan.
         let node = Coord::new(1, 1).index(4);
-        let probe = sim.routers[node].audit_probe(&sim.slab.view(node));
+        let probe = sim.routers[node].core.audit_probe(&sim.slab.view(node));
         let slot = probe
             .vcs
             .iter()
@@ -1378,7 +1382,7 @@ mod tests {
         'search: for _ in 0..500 {
             sim.step();
             for (i, r) in sim.routers.iter().enumerate() {
-                for v in r.audit_probe(&sim.slab.view(i)).vcs {
+                for v in r.core.audit_probe(&sim.slab.view(i)).vcs {
                     if v.phase == noc_core::VcPhase::Active
                         && v.queue_len >= 2
                         && v.active_dvc.is_some_and(|d| d != noc_core::EJECT_VC)
@@ -1441,6 +1445,7 @@ mod tests {
                 if let Some(i) = (0..sim.routers.len()).find(|&i| {
                     sim.occ_cache[i] > 0
                         && sim.routers[i]
+                            .core
                             .audit_probe(&sim.slab.view(i))
                             .vcs
                             .iter()
@@ -1527,7 +1532,7 @@ mod tests {
         'search: for _ in 0..500 {
             sim.step();
             for i in 0..sim.routers.len() {
-                let probe = sim.routers[i].audit_probe(&sim.slab.view(i));
+                let probe = sim.routers[i].core.audit_probe(&sim.slab.view(i));
                 for v in &probe.vcs {
                     if let (Some(out), Some(dvc)) = (v.active_out, v.active_dvc) {
                         if out != Direction::Local && dvc != EJECT_VC {
@@ -1539,7 +1544,7 @@ mod tests {
             }
         }
         let (i, out, dvc) = target.expect("no active stream found");
-        let core = sim.routers[i].test_core_mut();
+        let core = &mut sim.routers[i].core;
         core.outputs[out.index()].as_mut().expect("wired output").vcs[dvc as usize].free = true;
         sim.audit_sweep_now();
         let report = sim.results().audit.expect("enabled");

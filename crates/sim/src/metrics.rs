@@ -12,8 +12,10 @@
 use crate::flow::ClassLatency;
 use crate::json::{write_f64, write_key, write_str};
 use noc_core::{Coord, Cycle};
+use std::cell::{Ref, RefCell};
 use std::fmt::Write as _;
 use std::io::Write;
+use std::rc::Rc;
 
 /// Per-router portion of one sample window.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -195,11 +197,12 @@ pub trait MetricsSink: std::fmt::Debug {
     fn finish(&mut self) {}
 }
 
-/// A sink that buffers samples in memory (tests, the `timeline` command).
-#[derive(Debug, Default)]
+/// A sink that buffers samples in memory (tests, the `timeline` command,
+/// campaigns). Clones share one buffer: keep a handle, box a clone into
+/// the simulation, and read the samples back through the handle.
+#[derive(Debug, Default, Clone)]
 pub struct VecMetricsSink {
-    /// The samples received so far.
-    pub samples: Vec<IntervalSample>,
+    samples: Rc<RefCell<Vec<IntervalSample>>>,
 }
 
 impl VecMetricsSink {
@@ -207,11 +210,16 @@ impl VecMetricsSink {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// The samples received so far, in window order.
+    pub fn samples(&self) -> Ref<'_, [IntervalSample]> {
+        Ref::map(self.samples.borrow(), Vec::as_slice)
+    }
 }
 
 impl MetricsSink for VecMetricsSink {
     fn record_sample(&mut self, sample: &IntervalSample) {
-        self.samples.push(sample.clone());
+        self.samples.borrow_mut().push(sample.clone());
     }
 }
 

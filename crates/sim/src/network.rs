@@ -35,14 +35,14 @@ use crate::trace::{TraceEvent, TraceSink};
 use noc_core::rng::SmallRng;
 use noc_core::{
     router_rng, ActivityCounters, ComponentFault, Coord, Credit, Cycle, Direction, Flit, FlitSlab,
-    LinkMask, NodeStatus, PacketId, ReachabilityMap, RouterNode, RouterOutputs, StepContext,
-    Topology, TopologyOps, VcDescriptor, VcPhase, WakeSet, ALL_VCS, EJECT_VC, RNG_STREAM_INJECT,
+    LinkMask, NodeStatus, PacketId, ReachabilityMap, RouterOutputs, StepContext, Topology,
+    TopologyOps, VcDescriptor, VcPhase, WakeSet, ALL_VCS, EJECT_VC, RNG_STREAM_INJECT,
     RNG_STREAM_STEP,
 };
 use noc_deadlock::{find_channel_cycle, Channel};
 use noc_fault::{FaultAction, FaultEvent};
 use noc_power::{energy_of, EnergyBreakdown, RouterEnergyProfile};
-use noc_router::AnyRouter;
+use noc_router::Router;
 use noc_routing::RouteComputer;
 use noc_traffic::{build_traffic, Traffic};
 use std::cmp::Reverse;
@@ -176,7 +176,7 @@ impl Sampler {
 #[derive(Debug)]
 pub struct Simulation {
     pub(crate) cfg: SimConfig,
-    pub(crate) routers: Vec<AnyRouter>,
+    pub(crate) routers: Vec<Router>,
     /// Flat flit storage for every router's VC buffers (ISSUE 10): one
     /// contiguous per-network slab of fixed-capacity rings, indexed by
     /// `(router, ring)`. Routers keep the control state (heads of line,
@@ -236,7 +236,7 @@ pub struct Simulation {
     /// time fail-fast and the retry short-circuit (the `unroutable`
     /// outcome). `None` unless fault-aware routing is on.
     pub(crate) reach: Option<ReachabilityMap>,
-    /// Reusable router-output scratch ([`RouterNode::step`] contract).
+    /// Reusable router-output scratch (`Router::step` clears it on entry).
     outputs: RouterOutputs,
     /// Wake-set: an awake bit means the router may do observable work
     /// this cycle and must be stepped. Set on flit/credit delivery and
@@ -347,8 +347,8 @@ impl Simulation {
         topo.check_support(rcfg.router, cfg.routing, rcfg.vcs_per_port as usize)
             .expect("router/routing unsupported on this topology");
         let mesh = cfg.mesh;
-        let mut routers: Vec<AnyRouter> = (0..mesh.nodes())
-            .map(|i| AnyRouter::build_on(Coord::from_index(i, mesh.width), rcfg, &topo))
+        let mut routers: Vec<Router> = (0..mesh.nodes())
+            .map(|i| Router::new(Coord::from_index(i, mesh.width), rcfg, &topo))
             .collect();
         // Faults first: the wiring below publishes post-fault VC lists,
         // modelling the neighbour handshake of §4.1. Construction
@@ -369,15 +369,15 @@ impl Simulation {
             for dir in Direction::MESH {
                 if let Some(n) = neighbor_idx[i][dir.index()] {
                     descs.clear();
-                    descs.extend_from_slice(routers[n].vcs_on_link(dir.opposite()));
-                    routers[i].connect_output(dir, &descs);
+                    descs.extend_from_slice(routers[n].core.link_descriptors(dir.opposite()));
+                    routers[i].core.connect_output(dir, &descs);
                 }
             }
         }
         let computer = RouteComputer::on(cfg.routing, topo.clone());
         let rng = SmallRng::seed_from_u64(cfg.seed);
         let nodes = mesh.nodes();
-        let statuses: Vec<NodeStatus> = routers.iter().map(|r| r.status()).collect();
+        let statuses: Vec<NodeStatus> = routers.iter().map(|r| r.core.status()).collect();
         let statuses_dead = statuses.iter().map(|s| s.node_dead()).collect();
         let auditor = cfg.audit.map(|a| Box::new(Auditor::new(a, &cfg)));
         let profiler = cfg.profile.then(|| Box::new(Profiler::new()));
@@ -396,9 +396,9 @@ impl Simulation {
         // capacities are nominal + slop — construction faults shrink a
         // VC's *credited* capacity, never its storage, so the slab
         // layout is fault-invariant.
-        let ring_caps = routers[0].ring_capacities();
+        let ring_caps = routers[0].core.ring_capacities();
         debug_assert!(
-            routers.iter().all(|r| r.ring_capacities() == ring_caps),
+            routers.iter().all(|r| r.core.ring_capacities() == ring_caps),
             "slab layout requires homogeneous routers"
         );
         let slab = FlitSlab::new(nodes, &ring_caps);
@@ -492,7 +492,7 @@ impl Simulation {
     fn reset_sampler(&mut self) {
         self.sampler.window = 0;
         self.sampler.window_start = self.cycle;
-        self.sampler.counters = self.routers.iter().map(|r| *r.counters()).collect();
+        self.sampler.counters = self.routers.iter().map(|r| r.core.counters).collect();
         self.sampler.injected = self.per_node.iter().map(|n| n.injected).collect();
         self.sampler.delivered = self.per_node.iter().map(|n| n.delivered).collect();
         self.sampler.generated = self.stats.generated;
@@ -516,7 +516,7 @@ impl Simulation {
     }
 
     /// Read access to the routers (tests, tooling).
-    pub fn routers(&self) -> &[AnyRouter] {
+    pub fn routers(&self) -> &[Router] {
         &self.routers
     }
 
@@ -552,7 +552,7 @@ impl Simulation {
     pub fn flits_in_system(&self) -> usize {
         debug_assert_eq!(
             self.occ_total,
-            self.routers.iter().map(|r| r.occupancy()).sum::<usize>(),
+            self.routers.iter().map(|r| r.core.occupancy()).sum::<usize>(),
             "incremental occupancy diverged from the router buffers"
         );
         debug_assert_eq!(
@@ -620,12 +620,17 @@ impl Simulation {
             if let Some(a) = self.auditor.as_deref_mut() {
                 a.on_link_flit(self.cycle, f.node, f.from, f.vc, &f.flit);
             }
-            self.routers[f.node].deliver_flit(&mut self.slab.window(f.node), f.from, f.vc, f.flit);
+            self.routers[f.node].core.deliver_flit(
+                &mut self.slab.window(f.node),
+                f.from,
+                f.vc,
+                f.flit,
+            );
             self.wake.wake(f.node);
         }
         self.prof_phase(Phase::Links, &mut mark);
         for c in self.credits_arriving.drain(..) {
-            self.routers[c.node].deliver_credit(c.output, c.credit);
+            self.routers[c.node].core.deliver_credit(c.output, c.credit);
             self.wake.wake(c.node);
         }
         self.prof_phase(Phase::Credits, &mut mark);
@@ -724,7 +729,7 @@ impl Simulation {
                 while bits != 0 {
                     let i = w * 64 + bits.trailing_zeros() as usize;
                     bits &= bits - 1;
-                    let scan = self.routers[i].hot_mask();
+                    let scan = self.routers[i].core.hot_mask();
                     self.step_router(i, scan, &mut out);
                 }
             }
@@ -911,11 +916,11 @@ impl Simulation {
         };
         let mut routers = Vec::with_capacity(self.routers.len());
         for i in 0..self.routers.len() {
-            let now = *self.routers[i].counters();
+            let now = self.routers[i].core.counters;
             let prev = self.sampler.counters[i];
             routers.push(RouterWindow {
                 node: Coord::from_index(i, mesh.width),
-                occupancy: self.routers[i].occupancy() as u64,
+                occupancy: self.routers[i].core.occupancy() as u64,
                 occupancy_high_water: now.occupancy_high_water,
                 injected: self.per_node[i].injected - self.sampler.injected[i],
                 delivered: self.per_node[i].delivered - self.sampler.delivered[i],
@@ -971,7 +976,7 @@ impl Simulation {
         let mut adj: HashMap<Channel, Vec<Channel>> = HashMap::new();
         for (i, router) in self.routers.iter().enumerate() {
             let coord = Coord::from_index(i, mesh.width);
-            for s in router.vc_snapshots(&self.slab.view(i)) {
+            for s in router.core.vc_snapshots(&self.slab.view(i)) {
                 if s.buffered == 0 {
                     continue;
                 }
@@ -1021,7 +1026,8 @@ impl Simulation {
                         }
                     }
                     VcPhase::WaitingVa => {
-                        let count = self.routers[n.index(mesh.width)].vcs_on_link(side).len();
+                        let count =
+                            self.routers[n.index(mesh.width)].core.link_descriptors(side).len();
                         adj.entry(here).or_default().extend((0..count as u8).map(|vc| Channel {
                             node: n,
                             side,
@@ -1037,8 +1043,8 @@ impl Simulation {
             .iter()
             .enumerate()
             .filter_map(|(i, r)| {
-                let c = r.counters();
-                let buffered = r.occupancy() as u64;
+                let c = &r.core.counters;
+                let buffered = r.core.occupancy() as u64;
                 (buffered > 0 || c.blocked_packets > 0).then(|| RouterDiagnosis {
                     node: Coord::from_index(i, mesh.width),
                     blocked_packets: c.blocked_packets,
@@ -1053,7 +1059,7 @@ impl Simulation {
             .enumerate()
             .flat_map(|(i, r)| {
                 let node = Coord::from_index(i, mesh.width);
-                r.credit_map().into_iter().map(move |(output, credits)| CreditLine {
+                r.core.credit_map().into_iter().map(move |(output, credits)| CreditLine {
                     node,
                     output,
                     credits,
@@ -1187,7 +1193,7 @@ impl Simulation {
             // policy stays kernel- and thread-count-independent.
             let mut rng = router_rng(self.cfg.seed, i, self.cycle, RNG_STREAM_INJECT);
             let mut ctx = StepContext::new(self.cycle, &mut rng);
-            if self.routers[i].try_inject(&mut self.slab.window(i), flit, &mut ctx) {
+            if self.routers[i].core.try_inject(&mut self.slab.window(i), flit, &mut ctx) {
                 self.sources[i].pop_front();
                 self.source_total -= 1;
                 self.wake.wake(i);
@@ -1227,7 +1233,7 @@ impl Simulation {
     /// this so the `Soa` kernel stays digest-identical to the
     /// `Reference` kernel (DESIGN.md §10).
     fn wake_and_refresh(&mut self, i: usize) {
-        let occ = self.routers[i].occupancy();
+        let occ = self.routers[i].core.occupancy();
         self.occ_total = self.occ_total - self.occ_cache[i] + occ;
         self.occ_cache[i] = occ;
         self.wake.wake(i);
@@ -1264,7 +1270,7 @@ impl Simulation {
                 // Faults overlap arbitrarily (a node may carry several at
                 // once), so a repair rebuilds the router's fault state
                 // from scratch: clear everything, re-apply the survivors.
-                self.routers[site].clear_faults();
+                self.routers[site].core.clear_all_faults();
                 for i in 0..self.active_faults[site].len() {
                     let f = self.active_faults[site][i];
                     self.routers[site].inject_fault(f);
@@ -1275,7 +1281,7 @@ impl Simulation {
         // §4: packets caught mid-wormhole through a newly faulted (or
         // just-reconfigured) module are discarded on the spot; poison
         // tails chase the fragments out of downstream routers.
-        self.routers[site].purge_faulted(&mut self.slab.window(site));
+        self.routers[site].core.purge_faulted(&mut self.slab.window(site));
         self.fault_log.push(FaultTimelineEntry {
             cycle: self.cycle,
             node: ev.site,
@@ -1286,7 +1292,7 @@ impl Simulation {
         self.wake_and_refresh(site);
         // Live/dead status only changes here, so the flat mirror the
         // traffic generator scans every cycle is refreshed in place.
-        self.node_dead[site] = self.routers[site].status().node_dead();
+        self.node_dead[site] = self.routers[site].core.status().node_dead();
         if let Some(a) = self.auditor.as_deref_mut() {
             a.on_fault_event(self.cycle, site, self.neighbor_idx[site]);
         }
@@ -1358,7 +1364,7 @@ impl Simulation {
     /// cleared.
     fn republish(&mut self, site: usize) {
         let prev = self.statuses[site];
-        let now = self.routers[site].status();
+        let now = self.routers[site].core.status();
         let mut descs: Vec<VcDescriptor> = Vec::new();
         for dir in Direction::MESH {
             let Some(n) = self.neighbor_idx[site][dir.index()] else {
@@ -1368,11 +1374,11 @@ impl Simulation {
                 // The output module covering `dir` was repaired: any
                 // stale mid-wormhole demux state on the input side of
                 // that link belongs to packets that no longer exist.
-                self.routers[site].reset_input_link(&mut self.slab.window(site), dir);
+                self.routers[site].core.reset_input_link(&mut self.slab.window(site), dir);
             }
             descs.clear();
-            descs.extend_from_slice(self.routers[site].vcs_on_link(dir));
-            self.routers[n].resync_output(&mut self.slab.window(n), dir.opposite(), &descs);
+            descs.extend_from_slice(self.routers[site].core.link_descriptors(dir));
+            self.routers[n].core.resync_output(&mut self.slab.window(n), dir.opposite(), &descs);
             self.wake_and_refresh(n);
         }
         self.statuses[site] = now;
@@ -1424,7 +1430,7 @@ impl Simulation {
                 continue;
             }
             let src = o.src.index(self.cfg.mesh.width);
-            if o.attempt >= rc.max_retries || self.routers[src].status().node_dead() {
+            if o.attempt >= rc.max_retries || self.routers[src].core.status().node_dead() {
                 self.outstanding.remove(&id);
                 self.recovery.abandoned_packets += 1;
                 self.last_progress = self.cycle;
@@ -1482,7 +1488,7 @@ impl Simulation {
             mesh: self.cfg.mesh,
             nodes: self.per_node.clone(),
             activity: self.routers.iter().map(|r| self.materialized_counters(r)).collect(),
-            contention: self.routers.iter().map(|r| *r.contention()).collect(),
+            contention: self.routers.iter().map(|r| r.core.contention).collect(),
         }
     }
 
@@ -1490,8 +1496,8 @@ impl Simulation {
     /// materialised. Every router is clocked every cycle, so instead of
     /// touching each sleeping router per cycle the simulation cycle is
     /// stamped at read-out.
-    fn materialized_counters(&self, r: &AnyRouter) -> ActivityCounters {
-        ActivityCounters { cycles: self.cycle, ..*r.counters() }
+    fn materialized_counters(&self, r: &Router) -> ActivityCounters {
+        ActivityCounters { cycles: self.cycle, ..r.core.counters }
     }
 
     /// The measured-latency histogram (percentile queries).
@@ -1508,7 +1514,7 @@ impl Simulation {
         for r in &self.routers {
             let c = self.materialized_counters(r);
             counters.merge(&c);
-            contention.merge(r.contention());
+            contention.merge(&r.core.contention);
             energy.merge(&energy_of(&c, &profile));
         }
         // Link energy is accounted from the same counters (one link

@@ -8,7 +8,9 @@
 //! / [`TraceEvent::Repair`] markers.
 
 use noc_core::{ComponentFault, Coord, Cycle, Direction, PacketId};
+use std::cell::{Ref, RefCell};
 use std::fmt;
+use std::rc::Rc;
 
 /// One packet lifecycle event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -181,11 +183,12 @@ pub trait TraceSink: fmt::Debug {
     fn finish(&mut self) {}
 }
 
-/// Collects every event into memory.
-#[derive(Debug, Default)]
+/// Collects every event into memory. Clones share one buffer: keep a
+/// handle, box a clone into the simulation, and read the events back
+/// through the handle.
+#[derive(Debug, Default, Clone)]
 pub struct VecTraceSink {
-    /// The recorded events, in order.
-    pub events: Vec<TraceEvent>,
+    events: Rc<RefCell<Vec<TraceEvent>>>,
 }
 
 impl VecTraceSink {
@@ -193,11 +196,16 @@ impl VecTraceSink {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// The events recorded so far, in simulation order.
+    pub fn events(&self) -> Ref<'_, [TraceEvent]> {
+        Ref::map(self.events.borrow(), Vec::as_slice)
+    }
 }
 
 impl TraceSink for VecTraceSink {
     fn record(&mut self, event: TraceEvent) {
-        self.events.push(event);
+        self.events.borrow_mut().push(event);
     }
 }
 
@@ -580,8 +588,8 @@ mod tests {
         for c in 0..3 {
             sink.record(TraceEvent::Delivered { cycle: c, packet: PacketId(c), latency: 10 });
         }
-        assert_eq!(sink.events.len(), 3);
-        assert!(sink.events.windows(2).all(|w| w[0].cycle() <= w[1].cycle()));
+        assert_eq!(sink.events().len(), 3);
+        assert!(sink.events().windows(2).all(|w| w[0].cycle() <= w[1].cycle()));
     }
 
     #[test]

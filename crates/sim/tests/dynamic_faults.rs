@@ -7,32 +7,10 @@
 use noc_core::{Axis, ComponentFault, Coord, FaultComponent, MeshConfig, RouterKind, RoutingKind};
 use noc_fault::FaultSchedule;
 use noc_sim::{
-    IntervalSample, MetricsSink, RecoveryConfig, SimConfig, SimResults, Simulation, TraceEvent,
-    TraceSink,
+    IntervalSample, RecoveryConfig, SimConfig, SimResults, Simulation, TraceEvent, VecMetricsSink,
+    VecTraceSink,
 };
 use noc_traffic::TrafficKind;
-use std::cell::RefCell;
-use std::rc::Rc;
-
-/// A metrics sink sharing its sample store with the test.
-#[derive(Debug, Default)]
-struct SharedMetrics(Rc<RefCell<Vec<IntervalSample>>>);
-
-impl MetricsSink for SharedMetrics {
-    fn record_sample(&mut self, sample: &IntervalSample) {
-        self.0.borrow_mut().push(sample.clone());
-    }
-}
-
-/// A trace sink sharing its event store with the test.
-#[derive(Debug, Default)]
-struct SharedTrace(Rc<RefCell<Vec<TraceEvent>>>);
-
-impl TraceSink for SharedTrace {
-    fn record(&mut self, event: TraceEvent) {
-        self.0.borrow_mut().push(event);
-    }
-}
 
 const FAULT_AT: u64 = 1_000;
 const REPAIR_AT: u64 = 3_000;
@@ -67,16 +45,15 @@ fn scenario() -> SimConfig {
 }
 
 fn run_scenario() -> (SimResults, Vec<IntervalSample>) {
-    let store = Rc::new(RefCell::new(Vec::new()));
+    let sink = VecMetricsSink::new();
     let mut sim = Simulation::new(scenario());
-    sim.set_metrics_sink(Box::new(SharedMetrics(store.clone())));
+    sim.set_metrics_sink(Box::new(sink.clone()));
     while !sim.finished() {
         sim.step();
     }
     sim.finish_observability();
-    let results = sim.results();
-    drop(sim);
-    (results, Rc::try_unwrap(store).expect("sole owner").into_inner())
+    let samples = sink.samples().to_vec();
+    (sim.results(), samples)
 }
 
 /// Mean delivered packets per window over the windows lying entirely
@@ -134,20 +111,19 @@ fn retransmission_recovers_packets_lost_to_the_fault() {
 
 #[test]
 fn fault_and_repair_events_reach_the_trace() {
-    let store = Rc::new(RefCell::new(Vec::new()));
+    let sink = VecTraceSink::new();
     let mut sim = Simulation::new(scenario());
-    sim.set_trace_sink(Box::new(SharedTrace(store.clone())));
+    sim.set_trace_sink(Box::new(sink.clone()));
     while !sim.finished() {
         sim.step();
     }
     sim.finish_observability();
-    drop(sim);
-    let events = Rc::try_unwrap(store).expect("sole owner").into_inner();
+    let events = sink.events();
     let faults = events.iter().filter(|e| matches!(e, TraceEvent::Fault { .. })).count();
     let repairs = events.iter().filter(|e| matches!(e, TraceEvent::Repair { .. })).count();
     assert_eq!(faults, 4, "4 injections traced");
     assert_eq!(repairs, 4, "4 repairs traced");
-    for e in &events {
+    for e in events.iter() {
         if let TraceEvent::Fault { cycle, .. } = e {
             assert_eq!(*cycle, FAULT_AT);
         }
@@ -227,14 +203,13 @@ fn retries_toward_dead_destinations_are_short_circuited() {
     // trace must show `Unroutable` events for packets that were
     // injected before the death, proving the retry loop was cut rather
     // than burned down to `max_retries`.
-    let store = Rc::new(RefCell::new(Vec::new()));
+    let sink = VecTraceSink::new();
     let mut sim = Simulation::new(reachability_scenario(true));
-    sim.set_trace_sink(Box::new(SharedTrace(store.clone())));
+    sim.set_trace_sink(Box::new(sink.clone()));
     while !sim.finished() {
         sim.step();
     }
-    drop(sim);
-    let events = Rc::try_unwrap(store).expect("sole owner").into_inner();
+    let events = sink.events();
     let injected: std::collections::HashSet<_> = events
         .iter()
         .filter_map(|e| match e {

@@ -3,20 +3,8 @@
 //! live in all three router microarchitectures.
 
 use noc_core::{RouterKind, RoutingKind};
-use noc_sim::{IntervalSample, MetricsSink, SimConfig, Simulation};
+use noc_sim::{IntervalSample, SimConfig, Simulation, VecMetricsSink};
 use noc_traffic::TrafficKind;
-use std::cell::RefCell;
-use std::rc::Rc;
-
-/// A sink sharing its sample store with the test.
-#[derive(Debug, Default)]
-struct Shared(Rc<RefCell<Vec<IntervalSample>>>);
-
-impl MetricsSink for Shared {
-    fn record_sample(&mut self, sample: &IntervalSample) {
-        self.0.borrow_mut().push(sample.clone());
-    }
-}
 
 /// An 8x8 transpose run pushed well past saturation, so buffers fill,
 /// VA requests fail and credits run out at every architecture.
@@ -26,16 +14,15 @@ fn saturated_run(router: RouterKind) -> (noc_sim::SimResults, Vec<IntervalSample
     cfg.measured_packets = 1_500;
     cfg.injection_rate = 0.45;
     cfg.sample_window = 100;
-    let store = Rc::new(RefCell::new(Vec::new()));
+    let sink = VecMetricsSink::new();
     let mut sim = Simulation::new(cfg);
-    sim.set_metrics_sink(Box::new(Shared(Rc::clone(&store))));
+    sim.set_metrics_sink(Box::new(sink.clone()));
     while !sim.finished() {
         sim.step();
     }
     sim.finish_observability();
-    let results = sim.results();
-    drop(sim);
-    (results, Rc::try_unwrap(store).expect("sole owner").into_inner())
+    let samples = sink.samples().to_vec();
+    (sim.results(), samples)
 }
 
 #[test]

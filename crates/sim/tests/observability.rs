@@ -7,22 +7,10 @@
 
 use noc_core::{MeshConfig, RouterKind, RoutingKind};
 use noc_sim::{
-    check_slos, parse_slos, FlowClass, IntervalSample, KernelMode, MetricsSink, SimConfig,
-    SimResults, Simulation,
+    check_slos, parse_slos, FlowClass, KernelMode, SimConfig, SimResults, Simulation,
+    VecMetricsSink,
 };
 use noc_traffic::TrafficKind;
-use std::cell::RefCell;
-use std::rc::Rc;
-
-/// A metrics sink sharing its sample store with the test.
-#[derive(Debug, Default)]
-struct SharedMetrics(Rc<RefCell<Vec<IntervalSample>>>);
-
-impl MetricsSink for SharedMetrics {
-    fn record_sample(&mut self, sample: &IntervalSample) {
-        self.0.borrow_mut().push(sample.clone());
-    }
-}
 
 fn base() -> SimConfig {
     let mut cfg = SimConfig::paper_scaled(RouterKind::RoCo, RoutingKind::Xy, TrafficKind::Uniform);
@@ -104,14 +92,14 @@ fn class_percentiles_cover_the_measured_stream() {
 fn interval_windows_carry_class_summaries() {
     let mut cfg = base();
     cfg.sample_window = 200;
-    let samples = Rc::new(RefCell::new(Vec::new()));
+    let sink = VecMetricsSink::new();
     let mut sim = Simulation::new(cfg);
-    sim.set_metrics_sink(Box::new(SharedMetrics(Rc::clone(&samples))));
+    sim.set_metrics_sink(Box::new(sink.clone()));
     while !sim.finished() {
         sim.step();
     }
     sim.finish_observability();
-    let samples = samples.borrow();
+    let samples = sink.samples();
     assert!(samples.len() > 1, "several windows elapsed");
     for s in samples.iter() {
         assert_eq!(s.classes.len(), FlowClass::ALL.len());

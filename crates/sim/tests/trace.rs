@@ -6,29 +6,20 @@ use noc_sim::{SimConfig, Simulation, TraceEvent, VecTraceSink};
 use noc_traffic::TrafficKind;
 use std::collections::HashMap;
 
-/// A sink sharing its event store with the test through `Rc<RefCell>`.
-#[derive(Debug, Default)]
-struct Shared(std::rc::Rc<std::cell::RefCell<Vec<TraceEvent>>>);
-
-impl noc_sim::TraceSink for Shared {
-    fn record(&mut self, event: TraceEvent) {
-        self.0.borrow_mut().push(event);
-    }
-}
-
 fn traced_run() -> Vec<TraceEvent> {
-    let store = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+    let sink = VecTraceSink::new();
     let mut cfg = SimConfig::paper_scaled(RouterKind::RoCo, RoutingKind::Xy, TrafficKind::Uniform);
     cfg.warmup_packets = 20;
     cfg.measured_packets = 200;
     cfg.injection_rate = 0.15;
     let mut sim = Simulation::new(cfg);
-    sim.set_trace_sink(Box::new(Shared(store.clone())));
+    sim.set_trace_sink(Box::new(sink.clone()));
     while !sim.finished() {
         sim.step();
     }
-    drop(sim);
-    std::rc::Rc::try_unwrap(store).expect("sole owner").into_inner()
+    // Bound first: the `Ref` borrow must end before `sink` drops.
+    let events = sink.events().to_vec();
+    events
 }
 
 #[test]

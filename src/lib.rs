@@ -67,11 +67,11 @@ pub use noc_deadlock as deadlock;
 pub mod prelude {
     pub use noc_core::{
         Axis, AxisOrder, ComponentFault, Coord, Direction, FaultComponent, MeshConfig,
-        RouterConfig, RouterKind, RouterNode, RoutingKind, VcClass,
+        RouterConfig, RouterKind, RoutingKind, VcClass,
     };
     pub use noc_fault::{FaultCategory, FaultPlan, Reaction};
     pub use noc_power::{PefInputs, RouterEnergyProfile};
-    pub use noc_router::AnyRouter;
+    pub use noc_router::Router;
     pub use noc_sim::{SimConfig, SimResults, Simulation};
     pub use noc_traffic::TrafficKind;
 }

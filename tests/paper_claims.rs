@@ -204,7 +204,6 @@ fn all_configurations_are_provably_deadlock_free() {
 #[test]
 fn injxy_dominates_injyx_under_xy_routing() {
     use roco_noc::core::VcClass;
-    use roco_noc::router::AnyRouter;
     let mut cfg = SimConfig::paper_scaled(RouterKind::RoCo, RoutingKind::Xy, TrafficKind::Uniform);
     cfg.warmup_packets = 100;
     cfg.measured_packets = 2_000;
@@ -215,8 +214,7 @@ fn injxy_dominates_injyx_under_xy_routing() {
     }
     let (mut injxy, mut injyx) = (0u64, 0u64);
     for r in sim.routers() {
-        let AnyRouter::RoCo(roco) = r else { panic!("homogeneous RoCo mesh") };
-        let util = roco.class_utilization();
+        let util = r.class_utilization();
         injxy += util.get(&VcClass::InjXy).copied().unwrap_or(0);
         injyx += util.get(&VcClass::InjYx).copied().unwrap_or(0);
     }
