@@ -241,35 +241,21 @@ fn steady_mean_delivered(samples: &[IntervalSample], window: u64) -> f64 {
 }
 
 /// Runs the whole campaign grid. The independent (router, seed) units
-/// fan out across worker threads — the count comes from
-/// [`noc_sim::worker_threads`], the same `NOC_THREADS` knob that paces
-/// `run_batch`. Each unit runs entirely
-/// on one worker (its metrics plumbing is thread-local) and the units
-/// are reassembled in grid order (router, then seed, then mtbf), so
-/// the report is byte-identical at any thread count.
+/// fan out across worker threads through `parallel_map`, the same pool
+/// and `NOC_THREADS` knob that pace `run_batch`. Each unit
+/// runs entirely on one worker (its metrics plumbing is thread-local)
+/// and the units come back in grid order (router, then seed, then
+/// mtbf), so the report is byte-identical at any thread count.
 pub fn run_campaign(c: &CampaignConfig) -> CampaignReport {
     let units: Vec<(RouterKind, u64)> = c
         .routers
         .iter()
         .flat_map(|&router| (0..c.seeds).map(move |k| (router, c.base_seed.wrapping_add(k))))
         .collect();
-    let threads = noc_sim::worker_threads().min(units.len()).max(1);
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let mut slots: Vec<Option<Vec<CampaignCell>>> = Vec::new();
-    slots.resize_with(units.len(), || None);
-    let slots = std::sync::Mutex::new(slots);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let idx = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let Some(&(router, seed)) = units.get(idx) else { break };
-                let cells = run_unit(c, router, seed);
-                slots.lock().unwrap()[idx] = Some(cells);
-            });
-        }
-    });
-    let cells =
-        slots.into_inner().unwrap().into_iter().flat_map(|u| u.expect("unit ran")).collect();
+    let cells = crate::parallel_map(&units, |&(router, seed)| run_unit(c, router, seed))
+        .into_iter()
+        .flatten()
+        .collect();
     CampaignReport {
         mesh: c.mesh,
         routing: c.routing,
@@ -481,8 +467,8 @@ impl CampaignReport {
 
 /// Registers every campaign cell's headline statistics into a metrics
 /// [`Registry`] under `mesh`/`routing`/`router`/`mtbf`/`seed` labels —
-/// the scrape surface the campaign server of ROADMAP item 3 serves,
-/// rendered by the CLI's `campaign --prom-out`.
+/// the scrape surface a campaign server (parked on the ROADMAP) would
+/// serve, rendered by the CLI's `campaign --prom-out`.
 pub fn export_campaign(reg: &mut Registry, report: &CampaignReport) {
     let mesh = format!("{}x{}", report.mesh.width, report.mesh.height);
     let routing = report.routing.to_string();

@@ -23,6 +23,8 @@ pub mod plot;
 use noc_sim::{SimConfig, SimResults};
 use std::fmt::Write as _;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Experiment sizing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,29 +71,54 @@ impl Scale {
     }
 }
 
-/// Runs a batch of independent simulations across CPU cores, preserving
-/// input order. Work is handed out through a lock-free shared index:
-/// each worker claims the next unclaimed config with a `fetch_add`, so
-/// there is no queue mutex to contend on between (long) simulations.
-/// The worker count honors `NOC_THREADS` ([`noc_sim::worker_threads`]),
-/// the same knob that paces the degradation campaigns.
-pub fn run_batch(configs: Vec<SimConfig>) -> Vec<SimResults> {
-    let threads = noc_sim::worker_threads();
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let mut results: Vec<Option<SimResults>> = Vec::new();
-    results.resize_with(configs.len(), || None);
-    let results = std::sync::Mutex::new(results);
+/// Resolves the worker-thread count for work that fans whole
+/// simulations across threads ([`run_batch`] and the degradation
+/// campaigns, both through [`parallel_map`]). A single simulation
+/// always runs on one thread.
+///
+/// Precedence: the `NOC_THREADS` environment variable, then
+/// [`std::thread::available_parallelism`], then 1. Zero and unparsable
+/// values are treated as unset so a bad `NOC_THREADS` degrades to the
+/// default instead of panicking.
+///
+/// Thread count never affects results — each job is independent and
+/// results come back in input order — so this is purely a performance
+/// knob.
+pub(crate) fn worker_threads() -> usize {
+    std::env::var("NOC_THREADS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .filter(|&t| t > 0)
+        .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
+}
+
+/// Maps `f` over `items` on [`worker_threads`] scoped threads and
+/// returns the results in input order. Work is handed out through a
+/// lock-free shared index: each worker claims the next unclaimed item
+/// with a `fetch_add`, so there is no queue mutex to contend on between
+/// (long) jobs.
+pub(crate) fn parallel_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    const POISONED: &str = "a worker panicked while holding the results lock";
+    let next = AtomicUsize::new(0);
+    let slots = Mutex::new(items.iter().map(|_| None).collect::<Vec<Option<R>>>());
     std::thread::scope(|scope| {
-        for _ in 0..threads.min(configs.len()) {
+        for _ in 0..worker_threads().min(items.len()) {
             scope.spawn(|| loop {
-                let idx = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let Some(cfg) = configs.get(idx) else { break };
-                let r = noc_sim::run(cfg.clone());
-                results.lock().unwrap()[idx] = Some(r);
+                let idx = next.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = items.get(idx) else { break };
+                let r = f(item);
+                slots.lock().expect(POISONED)[idx] = Some(r);
             });
         }
     });
-    results.into_inner().unwrap().into_iter().map(|r| r.expect("job ran")).collect()
+    slots.into_inner().expect(POISONED).into_iter().map(|r| r.expect("every item ran")).collect()
+}
+
+/// Runs a batch of independent simulations across CPU cores, preserving
+/// input order. It shares one worker pool (`parallel_map`, sized by
+/// `NOC_THREADS`) with the degradation campaigns.
+pub fn run_batch(configs: Vec<SimConfig>) -> Vec<SimResults> {
+    parallel_map(&configs, |cfg| noc_sim::run(cfg.clone()))
 }
 
 /// A simple table: header plus rows of cells, rendered as markdown and
@@ -200,6 +227,21 @@ mod tests {
             TrafficKind::Uniform,
         ));
         assert_eq!(cfg.warmup_packets, 1_000);
+    }
+
+    // Env-var manipulation is process-global, so the scenarios live in
+    // one test to avoid racing parallel test threads.
+    #[test]
+    fn precedence_env_then_detected() {
+        std::env::set_var("NOC_THREADS", "3");
+        assert_eq!(worker_threads(), 3, "NOC_THREADS beats detection");
+        std::env::set_var("NOC_THREADS", "0");
+        let detected = worker_threads();
+        assert!(detected >= 1, "zero NOC_THREADS falls back to detection");
+        std::env::set_var("NOC_THREADS", "not-a-number");
+        assert_eq!(worker_threads(), detected, "garbage NOC_THREADS is unset");
+        std::env::remove_var("NOC_THREADS");
+        assert!(worker_threads() >= 1);
     }
 
     #[test]

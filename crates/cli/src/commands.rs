@@ -1082,6 +1082,31 @@ mod tests {
         assert!(text.contains("class=\"near\""));
         assert!(text.contains("quantile=\"p999\""));
         assert!(text.contains("noc_profile_wall_seconds"));
+        assert!(text.contains("noc_profile_wake_word_occupancy"));
+        // One sample per profiler phase, in step order.
+        let phases: Vec<&str> = text
+            .lines()
+            .filter(|l| l.starts_with("noc_profile_phase_seconds{"))
+            .filter_map(|l| l.split("phase=\"").nth(1)?.split('"').next())
+            .collect();
+        assert_eq!(
+            phases,
+            ["faults", "links", "credits", "traffic", "routers", "audit", "metrics"]
+        );
+        let _ = std::fs::remove_file(&prom);
+    }
+
+    #[test]
+    fn run_prom_export_counts_unroutable_packets() {
+        let prom = std::env::temp_dir().join(format!("noc-cli-test-{}-u.prom", std::process::id()));
+        let cmd = format!(
+            "run --packets 300 --warmup 30 --rate 0.1 --mesh 4x4 --fault-routing true \
+             --prom-out {}",
+            prom.display()
+        );
+        dispatch(&parse(&cmd)).unwrap();
+        let text = std::fs::read_to_string(&prom).unwrap();
+        assert!(text.contains("# TYPE noc_unroutable_packets counter"), "{text}");
         let _ = std::fs::remove_file(&prom);
     }
 

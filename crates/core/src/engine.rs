@@ -12,10 +12,9 @@
 
 use noc_arbiter::RoundRobinArbiter;
 use noc_core::{
-    ActivityCounters, AuditProbe, Axis, ContentionCounters, Coord, CreditBook, Cycle, Direction,
-    Flit, LatchedFlit, LinkMask, ModuleHealth, NodeStatus, PacketId, RouterConfig, RouterOutputs,
-    SlabView, SlabWindow, StepContext, StepReport, VcAudit, VcDescriptor, VcPhase, VcRequest,
-    VcSnapshot, ALL_VCS, EJECT_VC, MAX_INTERNAL_VCS,
+    ActivityCounters, Axis, ContentionCounters, Coord, Cycle, Direction, Flit, LinkMask,
+    ModuleHealth, NodeStatus, PacketId, RouterConfig, RouterOutputs, SlabView, SlabWindow,
+    StepContext, StepReport, VcDescriptor, VcRequest, ALL_VCS, EJECT_VC, MAX_INTERNAL_VCS,
 };
 use noc_routing::{quadrant_mask, DirSet, RouteComputer};
 
@@ -610,6 +609,13 @@ impl RouterCore {
         }
     }
 
+    /// Flits currently buffered across every VC ring: the incremental
+    /// counter bumped on each push/pop. The audit's slab-coherence
+    /// check compares it against the summed ring lengths.
+    pub fn buffered_flits(&self) -> usize {
+        self.buffered as usize
+    }
+
     /// Flits currently buffered or latched (for drain detection).
     /// Pending drops count too: a flit discarded by the pipeline stays
     /// "in the system" until the next flush hands it to the network for
@@ -658,8 +664,10 @@ impl RouterCore {
 
     /// Whether an `Active` VC with flits to send is starved of credits
     /// on its downstream VC (ejection never starves: it needs no VC).
-    /// `has_flits` is the VC's slab-ring non-emptiness.
-    fn vc_credit_starved(&self, vc: &Vc, has_flits: bool) -> bool {
+    /// `has_flits` is the VC's slab-ring non-emptiness. The per-cycle
+    /// `credit_stall_cycles` counter and the stall post-mortem both use
+    /// this one definition.
+    pub fn vc_credit_starved(&self, vc: &Vc, has_flits: bool) -> bool {
         match vc.state {
             VcState::Active { out, dvc, .. } if dvc != EJECT_VC && has_flits => {
                 self.outputs[out.index()].as_ref().is_some_and(|p| p.vcs[dvc as usize].credits == 0)
@@ -746,134 +754,6 @@ impl RouterCore {
             && !self.inj_dropping
             && self.inj_vc.is_none();
         StepReport { occupancy, quiescent, busy_vcs: busy }
-    }
-
-    /// Point-in-time snapshots of every input VC, for telemetry probes
-    /// and stall post-mortems.
-    pub fn vc_snapshots(&self, slab: &SlabView<'_>) -> Vec<VcSnapshot> {
-        self.vcs
-            .iter()
-            .enumerate()
-            .map(|(i, vc)| {
-                let (phase, out, downstream_vc, blocked_since) = match vc.state {
-                    VcState::Idle => {
-                        let phase = if slab.is_empty(i) { VcPhase::Idle } else { VcPhase::Routing };
-                        (phase, None, None, None)
-                    }
-                    VcState::RoutePending { .. } => (VcPhase::Routing, None, None, None),
-                    VcState::WaitingVa { .. } => {
-                        (VcPhase::WaitingVa, slab.front(i).map(|f| f.next_out), None, None)
-                    }
-                    VcState::Blocked { since } => (VcPhase::Blocked, None, None, Some(since)),
-                    VcState::Active { out, dvc, .. } => {
-                        (VcPhase::Active, Some(out), Some(dvc), None)
-                    }
-                };
-                VcSnapshot {
-                    input_side: vc.input_side,
-                    link_index: vc.link_index,
-                    buffered: slab.len(i),
-                    head_packet: slab.front(i).map(|f| f.packet),
-                    head_dst: slab.front(i).map(|f| f.dst),
-                    phase,
-                    out,
-                    downstream_vc,
-                    credit_starved: self.vc_credit_starved(vc, !slab.is_empty(i)),
-                    blocked_since,
-                    dropping: vc.dropping,
-                    disabled: vc.disabled,
-                }
-            })
-            .collect()
-    }
-
-    /// A complete audit snapshot of the shared engine's flow-control
-    /// state (credit books, VC states, latched flits) for the runtime
-    /// invariant checker. Called only when auditing is enabled.
-    pub fn audit_probe(&self, slab: &SlabView<'_>) -> AuditProbe {
-        let vcs = self
-            .vcs
-            .iter()
-            .enumerate()
-            .map(|(i, vc)| {
-                let (phase, active_out, active_dvc) = match vc.state {
-                    VcState::Idle => {
-                        let phase = if slab.is_empty(i) { VcPhase::Idle } else { VcPhase::Routing };
-                        (phase, None, None)
-                    }
-                    VcState::RoutePending { .. } => (VcPhase::Routing, None, None),
-                    VcState::WaitingVa { .. } => (VcPhase::WaitingVa, None, None),
-                    VcState::Blocked { .. } => (VcPhase::Blocked, None, None),
-                    VcState::Active { out, dvc, .. } => (VcPhase::Active, Some(out), Some(dvc)),
-                };
-                VcAudit {
-                    input_side: vc.input_side,
-                    link_index: vc.link_index,
-                    queue_len: slab.len(i),
-                    poison_queued: slab.iter(i).filter(|f| f.poison).count(),
-                    head_is_head_kind: slab.front(i).map(|f| f.kind.is_head()),
-                    capacity: vc.desc.capacity,
-                    nominal_capacity: vc.nominal_capacity,
-                    disabled: vc.disabled,
-                    dropping: vc.dropping,
-                    phase,
-                    active_out,
-                    active_dvc,
-                }
-            })
-            .collect();
-        let outputs = std::array::from_fn(|d| {
-            self.outputs[d]
-                .as_ref()
-                .map(|p| {
-                    p.vcs
-                        .iter()
-                        .map(|v| CreditBook {
-                            credits: v.credits,
-                            capacity: v.desc.capacity,
-                            free: v.free,
-                        })
-                        .collect()
-                })
-                .unwrap_or_default()
-        });
-        let latched = self
-            .st_latch
-            .iter()
-            .map(|(out, dvc, f)| LatchedFlit {
-                out: *out,
-                dvc: *dvc,
-                packet: f.packet.0,
-                is_tail: f.kind.is_tail(),
-                poison: f.poison,
-            })
-            .collect();
-        let pending_credits = self.pending_credits.iter().map(|&(side, c)| (side, c.vc)).collect();
-        let rings_coherent = (0..self.vcs.len())
-            .all(|i| slab.head(i) < slab.ring_cap(i) && slab.len(i) <= slab.ring_cap(i) as usize);
-        AuditProbe {
-            vcs,
-            outputs,
-            latched,
-            pending_credits,
-            pending_ejects: self.pending_ejects.len(),
-            pending_drops: self.pending_drops.len(),
-            buffered_total: self.buffered as usize,
-            rings_coherent,
-        }
-    }
-
-    /// Remaining credits per downstream VC, keyed by output direction.
-    /// Only mesh outputs that physically exist on this router appear.
-    pub fn credit_map(&self) -> Vec<(Direction, Vec<u8>)> {
-        Direction::MESH
-            .iter()
-            .filter_map(|&dir| {
-                self.outputs[dir.index()]
-                    .as_ref()
-                    .map(|p| (dir, p.vcs.iter().map(|v| v.credits).collect()))
-            })
-            .collect()
     }
 
     /// Emits everything that leaves the router this cycle: last cycle's

@@ -109,11 +109,6 @@ pub struct RouterConfig {
     pub block_timeout: u64,
 }
 
-/// Serde default for [`RouterConfig::block_timeout`].
-fn default_block_timeout() -> u64 {
-    20
-}
-
 impl RouterConfig {
     /// The paper's configuration for `router` under `routing`.
     pub fn paper(router: RouterKind, routing: RoutingKind) -> Self {
@@ -130,7 +125,7 @@ impl RouterConfig {
             flit_bits: 128,
             mirror_allocator: true,
             speculative_sa: true,
-            block_timeout: default_block_timeout(),
+            block_timeout: 20,
         }
     }
 

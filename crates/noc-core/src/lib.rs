@@ -35,7 +35,6 @@ mod flit;
 mod geometry;
 mod mask;
 mod node;
-mod probe;
 pub mod rng;
 mod slab;
 mod topology;
@@ -52,7 +51,6 @@ pub use node::{
     router_rng, ComponentFault, FaultComponent, ModuleHealth, NodeStatus, RouterOutputs,
     StepContext, StepReport, ALL_VCS, EJECT_VC, RNG_STREAM_INJECT, RNG_STREAM_STEP,
 };
-pub use probe::{AuditProbe, CreditBook, LatchedFlit, VcAudit, VcPhase, VcSnapshot};
 pub use slab::{FlitSlab, SlabView, SlabWindow};
 pub use topology::{
     ChipletTopology, CirculantTopology, MeshTopology, Topology, TopologyConfig, TopologyOps,

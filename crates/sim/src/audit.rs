@@ -43,7 +43,9 @@
 
 use crate::config::AuditConfig;
 use crate::network::Simulation;
-use noc_core::{AuditProbe, Coord, Cycle, Direction, Flit, NodeStatus, EJECT_VC};
+use crate::postmortem::VcPhase;
+use noc_core::{Coord, Cycle, Direction, Flit, NodeStatus, EJECT_VC};
+use noc_router::VcState;
 use std::collections::{HashMap, HashSet};
 
 /// The invariant families the auditor distinguishes. Mutation-style
@@ -723,39 +725,18 @@ impl Auditor {
         self.checks_run += 1;
         let cycle = sim.cycle;
         let nodes = sim.routers.len();
-        let probes: Vec<AuditProbe> = sim
-            .routers
-            .iter()
-            .enumerate()
-            .map(|(i, r)| r.core.audit_probe(&sim.slab.view(i)))
-            .collect();
-
-        // Receiver-side index: (node, side, link_index) -> probe VC slot.
-        let mut rcv: Vec<[Vec<usize>; 5]> = Vec::with_capacity(nodes);
-        for p in &probes {
-            let mut m: [Vec<usize>; 5] = Default::default();
-            for (k, v) in p.vcs.iter().enumerate() {
-                let side = v.input_side.index();
-                let li = v.link_index as usize;
-                if m[side].len() <= li {
-                    m[side].resize(li + 1, usize::MAX);
-                }
-                m[side][li] = k;
-            }
-            rcv.push(m);
-        }
 
         // In-pipeline flit/credit tallies keyed by link VC.
         let mut latched: HashMap<(usize, u8, u8), u32> = HashMap::new();
         let mut pend_credits: HashMap<(usize, u8, u8), u32> = HashMap::new();
-        for (i, p) in probes.iter().enumerate() {
-            for l in &p.latched {
-                if l.out != Direction::Local && l.dvc != EJECT_VC {
-                    *latched.entry((i, l.out.index() as u8, l.dvc)).or_insert(0) += 1;
+        for (i, r) in sim.routers.iter().enumerate() {
+            for &(out, dvc, _) in &r.core.st_latch {
+                if out != Direction::Local && dvc != EJECT_VC {
+                    *latched.entry((i, out.index() as u8, dvc)).or_insert(0) += 1;
                 }
             }
-            for &(side, vc) in &p.pending_credits {
-                *pend_credits.entry((i, side.index() as u8, vc)).or_insert(0) += 1;
+            for &(side, credit) in &r.core.pending_credits {
+                *pend_credits.entry((i, side.index() as u8, credit.vc)).or_insert(0) += 1;
             }
         }
         // `flits_on_links` includes the multi-cycle delay wheel, so
@@ -777,7 +758,8 @@ impl Auditor {
             let coord = self.coord(i);
             for dir in Direction::MESH {
                 let Some(n) = sim.neighbor_idx[i][dir.index()] else { continue };
-                let books = &probes[i].outputs[dir.index()];
+                let books =
+                    sim.routers[i].core.outputs[dir.index()].as_ref().map_or(&[][..], |p| &p.vcs);
                 let opp = dir.opposite();
                 let d_idx = dir.index() as u8;
                 let o_idx = opp.index() as u8;
@@ -785,7 +767,8 @@ impl Auditor {
                 let mut all_match = true;
                 for (v, book) in books.iter().enumerate() {
                     let vu = v as u8;
-                    if book.credits > book.capacity {
+                    let capacity = book.desc.capacity;
+                    if book.credits > capacity {
                         self.violate(
                             AuditKind::CreditBook,
                             cycle,
@@ -794,22 +777,20 @@ impl Auditor {
                             Some(vu),
                             None,
                             format!(
-                                "credits {} exceed downstream capacity {}",
-                                book.credits, book.capacity
+                                "credits {} exceed downstream capacity {capacity}",
+                                book.credits
                             ),
                         );
                     }
                     let in_latch = latched.get(&(i, d_idx, vu)).copied().unwrap_or(0);
                     let in_flight = on_link.get(&(n, o_idx, vu)).copied().unwrap_or(0);
-                    let in_queue = rcv[n][opp.index()]
+                    let in_queue = sim.routers[n].core.link_map[opp.index()]
                         .get(v)
-                        .copied()
-                        .filter(|&k| k != usize::MAX)
-                        .map_or(0u32, |k| probes[n].vcs[k].queue_len as u32);
+                        .map_or(0u32, |&k| sim.slab.view(n).len(k) as u32);
                     let cred_pend = pend_credits.get(&(n, o_idx, vu)).copied().unwrap_or(0);
                     let cred_fly = cred_link.get(&(i, d_idx, vu)).copied().unwrap_or(0);
                     let outstanding = in_latch + in_flight + in_queue + cred_pend + cred_fly;
-                    let expected = (book.capacity as u32).saturating_sub(outstanding) as u8;
+                    let expected = (capacity as u32).saturating_sub(outstanding) as u8;
                     if book.credits != expected {
                         all_match = false;
                     }
@@ -822,10 +803,10 @@ impl Auditor {
                             Some(vu),
                             None,
                             format!(
-                                "credits {} != capacity {} - outstanding {} \
+                                "credits {} != capacity {capacity} - outstanding {outstanding} \
                                  (latch {in_latch} + link {in_flight} + queue {in_queue} \
                                  + credits pending {cred_pend} + in flight {cred_fly})",
-                                book.credits, book.capacity, outstanding
+                                book.credits
                             ),
                         );
                     }
@@ -845,14 +826,18 @@ impl Auditor {
         }
 
         // VC state legality, router by router.
-        for (i, p) in probes.iter().enumerate() {
+        for (i, r) in sim.routers.iter().enumerate() {
             let coord = self.coord(i);
+            let core = &r.core;
+            let slab = sim.slab.view(i);
             let mut holders: HashSet<(u8, u8)> = HashSet::new();
-            for v in &p.vcs {
+            for (k, v) in core.vcs.iter().enumerate() {
                 let vc = v.link_index;
                 let side = v.input_side;
-                let overflow_bound = v.nominal_capacity as usize + v.poison_queued;
-                if v.queue_len > overflow_bound {
+                let queue_len = slab.len(k);
+                let poison_queued = slab.iter(k).filter(|f| f.poison).count();
+                let overflow_bound = v.nominal_capacity as usize + poison_queued;
+                if queue_len > overflow_bound {
                     self.violate(
                         AuditKind::VcState,
                         cycle,
@@ -861,13 +846,14 @@ impl Auditor {
                         Some(vc),
                         None,
                         format!(
-                            "buffer holds {} flits, nominal capacity {} (+{} poison)",
-                            v.queue_len, v.nominal_capacity, v.poison_queued
+                            "buffer holds {queue_len} flits, nominal capacity {} \
+                             (+{poison_queued} poison)",
+                            v.nominal_capacity
                         ),
                     );
                 }
                 if self.fault_free {
-                    if v.queue_len > v.capacity as usize {
+                    if queue_len > v.desc.capacity as usize {
                         self.violate(
                             AuditKind::VcState,
                             cycle,
@@ -876,12 +862,13 @@ impl Auditor {
                             Some(vc),
                             None,
                             format!(
-                                "buffer holds {} flits over capacity {} in a fault-free run",
-                                v.queue_len, v.capacity
+                                "buffer holds {queue_len} flits over capacity {} in a \
+                                 fault-free run",
+                                v.desc.capacity
                             ),
                         );
                     }
-                    if v.poison_queued > 0 || v.disabled {
+                    if poison_queued > 0 || v.disabled {
                         self.violate(
                             AuditKind::VcState,
                             cycle,
@@ -893,13 +880,10 @@ impl Auditor {
                         );
                     }
                 }
-                if matches!(
-                    v.phase,
-                    noc_core::VcPhase::Routing
-                        | noc_core::VcPhase::WaitingVa
-                        | noc_core::VcPhase::Blocked
-                ) && !v.dropping
-                    && v.head_is_head_kind == Some(false)
+                let phase = VcPhase::of(v.state, slab.is_empty(k));
+                if matches!(phase, VcPhase::Routing | VcPhase::WaitingVa | VcPhase::Blocked)
+                    && !v.dropping
+                    && slab.front(k).is_some_and(|f| !f.kind.is_head())
                 {
                     self.violate(
                         AuditKind::VcState,
@@ -908,10 +892,10 @@ impl Auditor {
                         Some(side),
                         Some(vc),
                         None,
-                        format!("{:?} VC fronts a non-head flit", v.phase),
+                        format!("{phase:?} VC fronts a non-head flit"),
                     );
                 }
-                let (Some(out), Some(dvc)) = (v.active_out, v.active_dvc) else { continue };
+                let VcState::Active { out, dvc, .. } = v.state else { continue };
                 if dvc == EJECT_VC {
                     continue;
                 }
@@ -927,8 +911,7 @@ impl Auditor {
                     );
                     continue;
                 }
-                let books = &p.outputs[out.index()];
-                match books.get(dvc as usize) {
+                match core.outputs[out.index()].as_ref().and_then(|p| p.vcs.get(dvc as usize)) {
                     None => self.violate(
                         AuditKind::VcState,
                         cycle,
@@ -965,11 +948,15 @@ impl Auditor {
 
         // Quiescence (wake-set soundness) and incremental accounting.
         let mut derived_occ_total = 0usize;
-        for (i, p) in probes.iter().enumerate() {
-            let derived: usize = p.vcs.iter().map(|v| v.queue_len).sum::<usize>()
-                + p.latched.len()
-                + p.pending_ejects
-                + p.pending_drops;
+        for (i, r) in sim.routers.iter().enumerate() {
+            let core = &r.core;
+            let slab = sim.slab.view(i);
+            let rings = core.vcs.len();
+            let ring_total: usize = (0..rings).map(|k| slab.len(k)).sum();
+            let derived = ring_total
+                + core.st_latch.len()
+                + core.pending_ejects.len()
+                + core.pending_drops.len();
             derived_occ_total += derived;
             if derived != sim.occ_cache[i] {
                 self.violate(
@@ -987,8 +974,7 @@ impl Auditor {
             // summed slab ring lengths, and every ring's head/len must
             // stay inside its capacity. Divergence means the slab and
             // the engine's view of it have drifted apart.
-            let ring_total: usize = p.vcs.iter().map(|v| v.queue_len).sum();
-            if p.buffered_total != ring_total {
+            if core.buffered_flits() != ring_total {
                 self.violate(
                     AuditKind::SlabCoherence,
                     cycle,
@@ -998,11 +984,13 @@ impl Auditor {
                     None,
                     format!(
                         "incremental buffered counter {} != summed slab ring lengths {ring_total}",
-                        p.buffered_total
+                        core.buffered_flits()
                     ),
                 );
             }
-            if !p.rings_coherent {
+            if !(0..rings).all(|k| {
+                slab.head(k) < slab.ring_cap(k) && slab.len(k) <= slab.ring_cap(k) as usize
+            }) {
                 self.violate(
                     AuditKind::SlabCoherence,
                     cycle,
@@ -1013,7 +1001,7 @@ impl Auditor {
                     "slab ring index out of bounds (head or len exceeds ring capacity)".into(),
                 );
             }
-            if !sim.wake.is_awake(i) && !sim.routers[i].core.is_quiescent() {
+            if !sim.wake.is_awake(i) && !core.is_quiescent() {
                 self.violate(
                     AuditKind::Quiescence,
                     cycle,
@@ -1028,8 +1016,9 @@ impl Auditor {
             // deliveries precede phase 3, so after a step every
             // non-quiet VC must appear in the mask the step recorded —
             // a miss means the busy-VC scan skipped live state.
-            for (vc_id, v) in p.vcs.iter().enumerate() {
-                let quiet = v.phase == noc_core::VcPhase::Idle && !v.dropping;
+            for (vc_id, v) in core.vcs.iter().enumerate() {
+                let quiet =
+                    VcPhase::of(v.state, slab.is_empty(vc_id)) == VcPhase::Idle && !v.dropping;
                 if !quiet && sim.vc_busy[i] & (1u64 << vc_id) == 0 {
                     self.violate(
                         AuditKind::Quiescence,
@@ -1205,7 +1194,7 @@ mod tests {
     use crate::network::{FlitInFlight, Simulation};
     use noc_core::{
         Axis, AxisOrder, ComponentFault, FaultComponent, MeshConfig, ModuleHealth, PacketId,
-        RouterKind, RoutingKind, VcPhase,
+        RouterKind, RoutingKind,
     };
     use noc_fault::FaultSchedule;
     use noc_traffic::TrafficKind;
@@ -1333,19 +1322,22 @@ mod tests {
         // An interior node, on a link VC that is idle, empty, and not
         // about to receive a genuine flit: the forged body is an orphan.
         let node = Coord::new(1, 1).index(4);
-        let probe = sim.routers[node].core.audit_probe(&sim.slab.view(node));
-        let slot = probe
+        let slab = sim.slab.view(node);
+        let slot = sim.routers[node]
+            .core
             .vcs
             .iter()
-            .find(|v| {
+            .enumerate()
+            .find(|&(k, v)| {
                 v.input_side != Direction::Local
-                    && v.queue_len == 0
-                    && v.phase == VcPhase::Idle
+                    && slab.is_empty(k)
+                    && v.state == VcState::Idle
                     && !sim
                         .flits_in_flight
                         .iter()
                         .any(|f| f.node == node && f.from == v.input_side && f.vc == v.link_index)
             })
+            .map(|(_, v)| (v.input_side, v.link_index))
             .expect("no idle link VC at the interior node");
         let forged = Flit::packet_flit_iter(
             PacketId(999_999_999),
@@ -1357,12 +1349,7 @@ mod tests {
         )
         .nth(1)
         .expect("packet has a second flit");
-        sim.flits_in_flight.push(FlitInFlight {
-            node,
-            from: slot.input_side,
-            vc: slot.link_index,
-            flit: forged,
-        });
+        sim.flits_in_flight.push(FlitInFlight { node, from: slot.0, vc: slot.1, flit: forged });
         sim.step();
         let report = sim.results().audit.expect("enabled");
         assert!(count_of(&report, AuditKind::StreamOrder) > 0, "{}", report.render());
@@ -1382,15 +1369,13 @@ mod tests {
         'search: for _ in 0..500 {
             sim.step();
             for (i, r) in sim.routers.iter().enumerate() {
-                for v in r.core.audit_probe(&sim.slab.view(i)).vcs {
-                    if v.phase == noc_core::VcPhase::Active
-                        && v.queue_len >= 2
-                        && v.active_dvc.is_some_and(|d| d != noc_core::EJECT_VC)
-                    {
-                        let out = v.active_out.expect("active stream holds an output");
-                        if let Some(n) = sim.neighbor_idx[i][out.index()] {
-                            victim = Some(n);
-                            break 'search;
+                for (k, v) in r.core.vcs.iter().enumerate() {
+                    if let VcState::Active { out, dvc, .. } = v.state {
+                        if sim.slab.view(i).len(k) >= 2 && dvc != EJECT_VC {
+                            if let Some(n) = sim.neighbor_idx[i][out.index()] {
+                                victim = Some(n);
+                                break 'search;
+                            }
                         }
                     }
                 }
@@ -1443,13 +1428,9 @@ mod tests {
                 // non-quiet VC, so zeroing its recorded mask must trip
                 // the check.
                 if let Some(i) = (0..sim.routers.len()).find(|&i| {
+                    let slab = sim.slab.view(i);
                     sim.occ_cache[i] > 0
-                        && sim.routers[i]
-                            .core
-                            .audit_probe(&sim.slab.view(i))
-                            .vcs
-                            .iter()
-                            .any(|v| v.queue_len > 0)
+                        && (0..sim.routers[i].core.vcs.len()).any(|k| !slab.is_empty(k))
                 }) {
                     target = Some(i);
                     break;
@@ -1531,10 +1512,9 @@ mod tests {
         let mut target = None;
         'search: for _ in 0..500 {
             sim.step();
-            for i in 0..sim.routers.len() {
-                let probe = sim.routers[i].core.audit_probe(&sim.slab.view(i));
-                for v in &probe.vcs {
-                    if let (Some(out), Some(dvc)) = (v.active_out, v.active_dvc) {
+            for (i, r) in sim.routers.iter().enumerate() {
+                for v in &r.core.vcs {
+                    if let VcState::Active { out, dvc, .. } = v.state {
                         if out != Direction::Local && dvc != EJECT_VC {
                             target = Some((i, out, dvc));
                             break 'search;
@@ -1549,6 +1529,96 @@ mod tests {
         sim.audit_sweep_now();
         let report = sim.results().audit.expect("enabled");
         assert!(count_of(&report, AuditKind::VcState) > 0, "{}", report.render());
+    }
+
+    /// A 4×4 RoCo simulation stepped `cycles` times whose audit is still
+    /// clean: the starting point of the `VcState` mutation tests.
+    fn clean_sim_after(cycles: usize) -> Simulation {
+        let mut sim = Simulation::new(small_cfg(RouterKind::RoCo));
+        for _ in 0..cycles {
+            sim.step();
+        }
+        sim.audit_sweep_now();
+        assert!(sim.results().audit.expect("enabled").clean(), "violations before mutation");
+        sim
+    }
+
+    /// Asserts that `sim`'s audit recorded a `VcState` violation with
+    /// exactly `detail`, so a test pins the one check it mutates for.
+    fn assert_vc_state(sim: &Simulation, detail: &str) {
+        let report = sim.results().audit.expect("enabled");
+        assert!(
+            report.violations.iter().any(|v| v.kind == AuditKind::VcState && v.detail == detail),
+            "no `{detail}` violation: {}",
+            report.render()
+        );
+    }
+
+    #[test]
+    fn body_flit_fronting_a_routing_vc_flags_vc_state() {
+        let mut sim = clean_sim_after(50);
+        // An idle, empty injection VC (no upstream credit book to
+        // disturb): a body flit at its front makes it a `Routing` VC
+        // whose head is not a head flit.
+        let (node, k) = (0..sim.routers.len())
+            .flat_map(|n| (0..sim.routers[n].core.vcs.len()).map(move |k| (n, k)))
+            .find(|&(n, k)| {
+                let v = &sim.routers[n].core.vcs[k];
+                v.input_side == Direction::Local
+                    && v.state == VcState::Idle
+                    && !v.dropping
+                    && sim.slab.view(n).is_empty(k)
+            })
+            .expect("no idle injection VC found");
+        sim.slab.window(node).push_back(k, packet_flits(999_999_999)[1]);
+        sim.audit_sweep_now();
+        assert_vc_state(&sim, "Routing VC fronts a non-head flit");
+    }
+
+    #[test]
+    fn shared_downstream_vc_flags_vc_state() {
+        let mut sim = Simulation::new(small_cfg(RouterKind::RoCo));
+        let mut target = None;
+        'search: for _ in 0..500 {
+            sim.step();
+            for (i, r) in sim.routers.iter().enumerate() {
+                let slab = sim.slab.view(i);
+                let held = r.core.vcs.iter().map(|v| v.state).find(|s| {
+                    matches!(*s, VcState::Active { out, dvc, .. }
+                        if out != Direction::Local && dvc != EJECT_VC)
+                });
+                let idle =
+                    r.core.vcs.iter().enumerate().position(|(k, v)| {
+                        v.state == VcState::Idle && !v.dropping && slab.is_empty(k)
+                    });
+                if let (Some(state), Some(k)) = (held, idle) {
+                    target = Some((i, k, state));
+                    break 'search;
+                }
+            }
+        }
+        let (i, k, state) = target.expect("no active stream beside an idle VC found");
+        sim.audit_sweep_now();
+        assert!(sim.results().audit.expect("enabled").clean(), "violations before mutation");
+        // A second input VC claims the downstream VC the stream holds.
+        sim.routers[i].core.vcs[k].state = state;
+        sim.audit_sweep_now();
+        assert_vc_state(&sim, "two input VCs hold the same downstream VC");
+    }
+
+    #[test]
+    fn disabled_vc_in_a_fault_free_run_flags_vc_state() {
+        let mut sim = clean_sim_after(50);
+        sim.routers[5].core.vcs[0].disabled = true;
+        sim.audit_sweep_now();
+        assert_vc_state(&sim, "poisoned or disabled VC in a fault-free run");
+        let report = sim.results().audit.expect("enabled");
+        assert_eq!(
+            report.total_violations,
+            count_of(&report, AuditKind::VcState),
+            "corruption misattributed to another class: {}",
+            report.render()
+        );
     }
 
     // ---- direct hook tests: exact violation-class mapping ----

@@ -119,16 +119,6 @@ pub struct SimConfig {
     pub profile: bool,
 }
 
-/// Serde default for [`SimConfig::sample_window`].
-fn default_sample_window() -> u64 {
-    100
-}
-
-/// Serde default for [`SimConfig::handshake_latency`].
-fn default_handshake_latency() -> u64 {
-    4
-}
-
 /// Source-retransmission parameters for the end-to-end recovery layer.
 ///
 /// A source keeps every injected packet in an outstanding table until
@@ -169,22 +159,9 @@ pub struct AuditConfig {
     pub max_recorded: usize,
 }
 
-/// Serde default for [`AuditConfig::interval`].
-fn default_audit_interval() -> u64 {
-    1
-}
-
-/// Serde default for [`AuditConfig::max_recorded`].
-fn default_audit_max_recorded() -> usize {
-    16
-}
-
 impl Default for AuditConfig {
     fn default() -> Self {
-        AuditConfig {
-            interval: default_audit_interval(),
-            max_recorded: default_audit_max_recorded(),
-        }
+        AuditConfig { interval: 1, max_recorded: 16 }
     }
 }
 
@@ -211,11 +188,11 @@ impl SimConfig {
             vcs_per_port: None,
             buffer_depth: None,
             speculative_sa: true,
-            sample_window: default_sample_window(),
+            sample_window: 100,
             block_timeout: None,
             kernel: KernelMode::default(),
             schedule: FaultSchedule::none(),
-            handshake_latency: default_handshake_latency(),
+            handshake_latency: 4,
             recovery: None,
             fault_routing: false,
             audit: None,

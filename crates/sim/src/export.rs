@@ -6,10 +6,9 @@
 //! registers its values once as [`Metric`] samples, and the registry
 //! renders them to either Prometheus text exposition
 //! ([`Registry::render_prometheus`], the `--prom-out` flag) or the
-//! workspace's hand-rolled JSONL ([`Registry::render_jsonl`]). The
-//! campaign server of ROADMAP item 3 consumes this scrape surface
-//! unchanged: one registrar call per result, two render calls, no
-//! serde.
+//! workspace's hand-rolled JSONL ([`Registry::render_jsonl`]). A
+//! campaign server (parked on the ROADMAP) would consume this scrape
+//! surface unchanged: one registrar call per result, two render calls.
 //!
 //! Prometheus names are sanitized to `[a-zA-Z_:][a-zA-Z0-9_:]*` and
 //! label values escaped per the text-exposition rules (`\\`, `\"`,
@@ -375,6 +374,12 @@ pub fn export_results(reg: &mut Registry, results: &SimResults, labels: &[(&str,
             labels,
             c(rec.duplicates_suppressed),
         );
+        reg.counter(
+            "noc_unroutable_packets",
+            "Packets failed fast toward an unreachable destination.",
+            labels,
+            c(rec.unroutable_packets),
+        );
     }
     if let Some(audit) = &results.audit {
         reg.counter("noc_audit_checks", "Audit sweeps executed.", labels, c(audit.checks_run));
@@ -517,6 +522,7 @@ pub fn export_profile(reg: &mut Registry, profile: &ProfileReport, labels: &[(&s
     for (phase, seconds) in [
         ("faults", profile.faults_s),
         ("links", profile.links_s),
+        ("credits", profile.credits_s),
         ("traffic", profile.traffic_s),
         ("routers", profile.routers_s),
         ("audit", profile.audit_s),
@@ -543,6 +549,12 @@ pub fn export_profile(reg: &mut Registry, profile: &ProfileReport, labels: &[(&s
         "Wake-set occupancy as a mesh fraction.",
         labels,
         profile.wake_fraction,
+    );
+    reg.gauge(
+        "noc_profile_wake_word_occupancy",
+        "Fraction of wake-bitset words holding an awake router.",
+        labels,
+        profile.wake_word_occupancy,
     );
     reg.gauge(
         "noc_profile_capacity_growth_events",

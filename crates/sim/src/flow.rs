@@ -15,11 +15,11 @@
 //! whole run shares one pattern), and a request/reply dimension will
 //! join as a third axis once closed-loop traffic lands (ROADMAP).
 //!
-//! [`SloSpec`] is the machine-checkable form of ROADMAP item 5's SLO
-//! reporting: `near:p99<=40` parses into a spec that
-//! [`check_slos`] evaluates against [`SimResults`], and the CLI turns
-//! violations into a nonzero exit. It lives in the library (not the
-//! CLI) so the campaign server of ROADMAP item 3 can reuse it.
+//! [`SloSpec`] is the machine-checkable form of SLO reporting:
+//! `near:p99<=40` parses into a spec that [`check_slos`] evaluates
+//! against [`SimResults`], and the CLI turns violations into a nonzero
+//! exit. It lives in the library (not the CLI) so a campaign server
+//! (parked on the ROADMAP) could reuse it.
 
 use crate::histogram::LatencyHistogram;
 use crate::stats::SimResults;
@@ -141,6 +141,17 @@ impl ClassHistograms {
         for h in &mut self.hists {
             h.clear();
         }
+    }
+
+    /// One histogram of every class's samples. Merging is bit-exact
+    /// ([`LatencyHistogram::merge`]), so this is the run-wide latency
+    /// distribution.
+    pub fn merged(&self) -> LatencyHistogram {
+        let mut all = LatencyHistogram::new();
+        for h in &self.hists {
+            all.merge(h);
+        }
+        all
     }
 
     /// Total samples across all classes.

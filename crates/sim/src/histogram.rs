@@ -142,7 +142,7 @@ impl LatencyHistogram {
     }
 
     /// 99.9th-percentile sample, or 0 when empty — the SLO tail
-    /// quantile of ROADMAP item 5.
+    /// quantile.
     pub fn p999(&self) -> u64 {
         self.percentile(0.999)
     }

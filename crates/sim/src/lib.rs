@@ -40,7 +40,6 @@ mod postmortem;
 mod profile;
 mod report;
 mod stats;
-mod threads;
 mod trace;
 
 pub use audit::{AuditKind, AuditReport, AuditViolation, Auditor};
@@ -56,12 +55,11 @@ pub use histogram::LatencyHistogram;
 pub use metrics::{IntervalSample, JsonlMetricsSink, MetricsSink, RouterWindow, VecMetricsSink};
 pub use network::{neighbor_table, run, Simulation};
 pub use postmortem::{
-    CreditLine, FaultTimelineEntry, RouterDiagnosis, StallPostmortem, WedgedPacket,
+    CreditLine, FaultTimelineEntry, RouterDiagnosis, StallPostmortem, VcPhase, WedgedPacket,
 };
 pub use profile::ProfileReport;
 pub use report::{render_heatmap, NodeReport, NodeSummary};
 pub use stats::{RecoveryStats, SimResults, StatsCollector};
-pub use threads::worker_threads;
 pub use trace::{
     replay_entries, CsvTraceSink, JsonlTraceSink, PerfettoTraceSink, TraceEvent, TraceSink,
     VecTraceSink,

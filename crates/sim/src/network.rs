@@ -26,7 +26,7 @@ use crate::config::{KernelMode, SimConfig};
 use crate::flow::{ClassHistograms, FlowClass};
 use crate::metrics::{IntervalSample, MetricsSink, RouterWindow};
 use crate::postmortem::{
-    CreditLine, FaultTimelineEntry, RouterDiagnosis, StallPostmortem, WedgedPacket,
+    CreditLine, FaultTimelineEntry, RouterDiagnosis, StallPostmortem, VcPhase, WedgedPacket,
 };
 use crate::profile::{Phase, Profiler};
 use crate::report::{NodeReport, NodeSummary};
@@ -36,13 +36,12 @@ use noc_core::rng::SmallRng;
 use noc_core::{
     router_rng, ActivityCounters, ComponentFault, Coord, Credit, Cycle, Direction, Flit, FlitSlab,
     LinkMask, NodeStatus, PacketId, ReachabilityMap, RouterOutputs, StepContext, Topology,
-    TopologyOps, VcDescriptor, VcPhase, WakeSet, ALL_VCS, EJECT_VC, RNG_STREAM_INJECT,
-    RNG_STREAM_STEP,
+    TopologyOps, VcDescriptor, WakeSet, ALL_VCS, EJECT_VC, RNG_STREAM_INJECT, RNG_STREAM_STEP,
 };
 use noc_deadlock::{find_channel_cycle, Channel};
 use noc_fault::{FaultAction, FaultEvent};
 use noc_power::{energy_of, EnergyBreakdown, RouterEnergyProfile};
-use noc_router::Router;
+use noc_router::{Router, VcState};
 use noc_routing::RouteComputer;
 use noc_traffic::{build_traffic, Traffic};
 use std::cmp::Reverse;
@@ -112,14 +111,10 @@ pub(crate) struct Outstanding {
     src: Coord,
     dst: Coord,
     created_at: Cycle,
-    /// Retransmission attempts issued so far (0 = original send).
+    /// Retransmission attempts issued so far (0 = original send). The
+    /// current attempt's deadline lives only in its `timeouts` heap
+    /// entry; stale entries are detected by this counter.
     attempt: u32,
-    /// Cycle the current attempt times out at. Only ever *read* from
-    /// the `timeouts` heap entries (lazy deletion — stale heap entries
-    /// are detected by the `attempt` counter); kept here so the
-    /// authoritative per-packet state is inspectable in one place.
-    #[allow(dead_code)]
-    deadline: Cycle,
     /// Whether the head has been counted in the injected statistics
     /// (retries re-inject the same packet without re-counting it).
     injected_counted: bool,
@@ -976,33 +971,39 @@ impl Simulation {
         let mut adj: HashMap<Channel, Vec<Channel>> = HashMap::new();
         for (i, router) in self.routers.iter().enumerate() {
             let coord = Coord::from_index(i, mesh.width);
-            for s in router.core.vc_snapshots(&self.slab.view(i)) {
-                if s.buffered == 0 {
-                    continue;
-                }
+            let core = &router.core;
+            let slab = self.slab.view(i);
+            for (k, vc) in core.vcs.iter().enumerate() {
+                let Some(head) = slab.front(k) else { continue };
+                let (out, blocked_since) = match vc.state {
+                    VcState::WaitingVa { .. } => (Some(head.next_out), None),
+                    VcState::Blocked { since } => (None, Some(since)),
+                    VcState::Active { out, .. } => (Some(out), None),
+                    _ => (None, None),
+                };
+                let credit_starved = core.vc_credit_starved(vc, true);
                 wedged.push(WedgedPacket {
-                    packet: s.head_packet,
+                    packet: Some(head.packet),
                     node: coord,
-                    input_side: s.input_side,
-                    vc: s.link_index,
-                    phase: s.phase,
-                    out: s.out,
-                    buffered: s.buffered,
-                    credit_starved: s.credit_starved,
-                    blocked_since: s.blocked_since,
-                    dst: s.head_dst,
+                    input_side: vc.input_side,
+                    vc: vc.link_index,
+                    phase: VcPhase::of(vc.state, false),
+                    out,
+                    buffered: slab.len(k),
+                    credit_starved,
+                    blocked_since,
+                    dst: Some(head.dst),
                     // Topology-native destination rendering (ISSUE 9):
                     // a circulant's `#7` or a chiplet's
                     // `chip(1,0)/(0,1)` instead of the raw grid coord.
-                    dst_name: s.head_dst.map(|d| self.topology.node_name(d)),
+                    dst_name: Some(self.topology.node_name(head.dst)),
                     // `unroutable destination` diagnosis class (ISSUE
                     // 8): the stream is wedged because no usable-link
                     // path from here reaches where it was going.
                     unroutable_dst: self
                         .reach
                         .as_ref()
-                        .zip(s.head_dst)
-                        .is_some_and(|(r, d)| !r.reachable(coord, d)),
+                        .is_some_and(|r| !r.reachable(coord, head.dst)),
                 });
                 // Observed wait-for edges: an Active VC starved of
                 // credits waits on the specific downstream VC it holds;
@@ -1010,8 +1011,8 @@ impl Simulation {
                 // VC of the link it requested. A cycle among these
                 // edges is a deadlock signature; fault blocking
                 // produces only chains.
-                let here = Channel { node: coord, side: s.input_side, vc: s.link_index };
-                let Some(out) = s.out else { continue };
+                let here = Channel { node: coord, side: vc.input_side, vc: vc.link_index };
+                let Some(out) = out else { continue };
                 if out == Direction::Local {
                     continue;
                 }
@@ -1019,13 +1020,11 @@ impl Simulation {
                     continue;
                 };
                 let side = out.opposite();
-                match s.phase {
-                    VcPhase::Active if s.credit_starved => {
-                        if let Some(dvc) = s.downstream_vc.filter(|&v| v != EJECT_VC) {
-                            adj.entry(here).or_default().push(Channel { node: n, side, vc: dvc });
-                        }
+                match vc.state {
+                    VcState::Active { dvc, .. } if credit_starved && dvc != EJECT_VC => {
+                        adj.entry(here).or_default().push(Channel { node: n, side, vc: dvc });
                     }
-                    VcPhase::WaitingVa => {
+                    VcState::WaitingVa { .. } => {
                         let count =
                             self.routers[n.index(mesh.width)].core.link_descriptors(side).len();
                         adj.entry(here).or_default().extend((0..count as u8).map(|vc| Channel {
@@ -1053,16 +1052,17 @@ impl Simulation {
                 })
             })
             .collect();
+        // Remaining credits per downstream VC of every wired output.
         let credit_map = self
             .routers
             .iter()
             .enumerate()
             .flat_map(|(i, r)| {
                 let node = Coord::from_index(i, mesh.width);
-                r.core.credit_map().into_iter().map(move |(output, credits)| CreditLine {
-                    node,
-                    output,
-                    credits,
+                Direction::MESH.into_iter().filter_map(move |output| {
+                    let port = r.core.outputs[output.index()].as_ref()?;
+                    let credits = port.vcs.iter().map(|v| v.credits).collect();
+                    Some(CreditLine { node, output, credits })
                 })
             })
             .collect();
@@ -1172,7 +1172,6 @@ impl Simulation {
                             dst,
                             created_at: self.cycle,
                             attempt: 0,
-                            deadline,
                             injected_counted: false,
                         },
                     );
@@ -1454,7 +1453,7 @@ impl Simulation {
             ));
             self.source_total += flits_per_packet as usize;
             self.wake.wake(src);
-            self.outstanding.insert(id, Outstanding { attempt, deadline, ..o });
+            self.outstanding.insert(id, Outstanding { attempt, ..o });
             self.timeouts.push(Reverse((deadline, id, attempt)));
             self.recovery.retransmissions += 1;
             self.last_progress = self.cycle;
@@ -1500,11 +1499,6 @@ impl Simulation {
         ActivityCounters { cycles: self.cycle, ..r.core.counters }
     }
 
-    /// The measured-latency histogram (percentile queries).
-    pub fn latency_histogram(&self) -> &crate::histogram::LatencyHistogram {
-        &self.stats.histogram
-    }
-
     /// Aggregates results at the current point of the run.
     pub fn results(&self) -> SimResults {
         let profile = RouterEnergyProfile::synthesized(&self.cfg.router_config());
@@ -1521,6 +1515,7 @@ impl Simulation {
         // traversal per emitted flit), already inside `energy`.
         let delivered = self.stats.delivered;
         let nodes = self.cfg.mesh.nodes() as f64;
+        let latency = self.stats.class_histograms.merged();
         SimResults {
             cycles: self.cycle,
             generated_packets: self.stats.generated,
@@ -1529,12 +1524,12 @@ impl Simulation {
             delivered_packets: self.stats.delivered,
             measured_delivered: self.stats.measured_delivered,
             dropped_packets: self.stats.dropped,
-            avg_latency: self.stats.avg_latency(),
-            max_latency: self.stats.max_latency,
-            latency_p50: self.stats.histogram.p50(),
-            latency_p95: self.stats.histogram.p95(),
-            latency_p99: self.stats.histogram.p99(),
-            latency_p999: self.stats.histogram.p999(),
+            avg_latency: latency.mean(),
+            max_latency: latency.max(),
+            latency_p50: latency.p50(),
+            latency_p95: latency.p95(),
+            latency_p99: latency.p99(),
+            latency_p999: latency.p999(),
             throughput: self.stats.delivered_flits as f64 / (self.cycle.max(1) as f64 * nodes),
             classes: self.stats.class_histograms.summaries(),
             counters,

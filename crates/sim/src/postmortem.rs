@@ -11,8 +11,53 @@
 //! wait-for edges — a suspected deadlock loop when one exists.
 
 use crate::json::{write_key, write_str};
-use noc_core::{ComponentFault, Coord, Cycle, Direction, PacketId, VcPhase};
+use noc_core::{ComponentFault, Coord, Cycle, Direction, PacketId};
+use noc_router::VcState;
 use std::fmt::Write as _;
+
+/// The pipeline phase an input VC is in, abstracted over the three
+/// router microarchitectures.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum VcPhase {
+    /// No packet occupies the VC.
+    Idle,
+    /// A head flit is waiting for (or completing) route computation.
+    Routing,
+    /// The head holds a route but has not yet won a downstream VC.
+    WaitingVa,
+    /// A fault made the route unserviceable; the packet is wedged until
+    /// the watchdog fires (baseline blocking behaviour).
+    Blocked,
+    /// The VC owns a downstream VC and competes for switch traversal.
+    Active,
+}
+
+impl VcPhase {
+    /// The phase of a VC in `state` whose slab ring is `ring_empty`. An
+    /// `Idle` VC with buffered flits is `Routing`: its head arrived and
+    /// awaits route computation. The audit sweep and the stall
+    /// post-mortem both classify VCs through this one mapping.
+    pub fn of(state: VcState, ring_empty: bool) -> VcPhase {
+        match state {
+            VcState::Idle if ring_empty => VcPhase::Idle,
+            VcState::Idle | VcState::RoutePending { .. } => VcPhase::Routing,
+            VcState::WaitingVa { .. } => VcPhase::WaitingVa,
+            VcState::Blocked { .. } => VcPhase::Blocked,
+            VcState::Active { .. } => VcPhase::Active,
+        }
+    }
+
+    /// Short lower-case label used in post-mortem and timeline output.
+    pub fn label(self) -> &'static str {
+        match self {
+            VcPhase::Idle => "idle",
+            VcPhase::Routing => "routing",
+            VcPhase::WaitingVa => "waiting-va",
+            VcPhase::Blocked => "blocked",
+            VcPhase::Active => "active",
+        }
+    }
+}
 
 /// One entry of the fault/repair history leading up to a stall.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -473,6 +518,40 @@ mod tests {
         assert_eq!(wedged[0].get("unroutable_dst"), Some(&Json::Bool(true)));
         let dst = wedged[0].get("dst").unwrap().as_arr().unwrap();
         assert_eq!(dst[0].as_u64(), Some(3));
+    }
+
+    #[test]
+    fn phase_labels_are_distinct() {
+        let phases = [
+            VcPhase::Idle,
+            VcPhase::Routing,
+            VcPhase::WaitingVa,
+            VcPhase::Blocked,
+            VcPhase::Active,
+        ];
+        for (i, a) in phases.iter().enumerate() {
+            for b in &phases[i + 1..] {
+                assert_ne!(a.label(), b.label());
+            }
+        }
+    }
+
+    #[test]
+    fn phase_of_maps_every_vc_state() {
+        assert_eq!(VcPhase::of(VcState::Idle, true), VcPhase::Idle);
+        assert_eq!(VcPhase::of(VcState::Idle, false), VcPhase::Routing);
+        let pending = VcState::RoutePending { next_route: Direction::East, ready_at: 3 };
+        assert_eq!(VcPhase::of(pending, false), VcPhase::Routing);
+        let waiting = VcState::WaitingVa { next_route: Direction::East };
+        assert_eq!(VcPhase::of(waiting, false), VcPhase::WaitingVa);
+        assert_eq!(VcPhase::of(VcState::Blocked { since: 9 }, false), VcPhase::Blocked);
+        let active = VcState::Active {
+            out: Direction::East,
+            dvc: 0,
+            next_route: Direction::East,
+            sa_from: 4,
+        };
+        assert_eq!(VcPhase::of(active, true), VcPhase::Active);
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use crate::audit::AuditReport;
 use crate::flow::{ClassHistograms, ClassLatency, FlowClass};
-use crate::histogram::LatencyHistogram;
 use crate::postmortem::StallPostmortem;
 use crate::profile::ProfileReport;
 use noc_core::{ActivityCounters, ContentionCounters, Cycle};
@@ -201,15 +200,11 @@ pub struct StatsCollector {
     pub measured_delivered: u64,
     /// Dropped packets.
     pub dropped: u64,
-    /// Sum of measured latencies.
-    pub latency_sum: u128,
-    /// Largest measured latency.
-    pub max_latency: u64,
     /// Delivered flits (all windows).
     pub delivered_flits: u64,
-    /// Histogram of measured latencies.
-    pub histogram: LatencyHistogram,
-    /// Per-flow-class histograms of measured latencies.
+    /// Per-flow-class histograms of measured latencies: the one latency
+    /// record. Run-wide mean, max and percentiles come from their merge
+    /// ([`ClassHistograms::merged`]), which is bit-exact.
     pub class_histograms: ClassHistograms,
 }
 
@@ -224,19 +219,7 @@ impl StatsCollector {
         self.delivered += 1;
         if measured {
             self.measured_delivered += 1;
-            self.latency_sum += latency as u128;
-            self.max_latency = self.max_latency.max(latency);
-            self.histogram.record(latency);
             self.class_histograms.record(class, latency);
-        }
-    }
-
-    /// Average measured latency.
-    pub fn avg_latency(&self) -> f64 {
-        if self.measured_delivered == 0 {
-            0.0
-        } else {
-            self.latency_sum as f64 / self.measured_delivered as f64
         }
     }
 }
@@ -253,8 +236,9 @@ mod tests {
         c.record_delivery(40, true, FlowClass::Far);
         assert_eq!(c.delivered, 3);
         assert_eq!(c.measured_delivered, 2);
-        assert_eq!(c.avg_latency(), 30.0);
-        assert_eq!(c.max_latency, 40);
+        let all = c.class_histograms.merged();
+        assert_eq!(all.mean(), 30.0);
+        assert_eq!(all.max(), 40);
         // Warm-up deliveries stay out of the class histograms too.
         assert_eq!(c.class_histograms.total_count(), 2);
         assert_eq!(c.class_histograms.class(FlowClass::Near).count(), 1);
