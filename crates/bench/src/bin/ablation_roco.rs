@@ -1,9 +1,6 @@
 //! Ablations: Mirroring Effect vs separable SA; west-first vs odd-even
 //! adaptive routing.
-use noc_bench::{experiments::ablation, Scale};
+use noc_bench::{experiments::Experiment, Scale};
 fn main() {
-    let scale = Scale::from_env();
-    ablation::mirror_ablation(scale).emit("ablation_mirror");
-    ablation::adaptive_policy_ablation(scale).emit("ablation_adaptive_policy");
-    ablation::speculation_ablation(scale).emit("ablation_speculation");
+    Experiment::Ablations.write(Scale::from_env());
 }

@@ -1,6 +1,6 @@
 //! Ablation: generic-router buffer partitioning (VC count vs depth at a
 //! fixed 60-flit budget).
-use noc_bench::{experiments::ablation::vc_sensitivity, Scale};
+use noc_bench::{experiments::Experiment, Scale};
 fn main() {
-    vc_sensitivity(Scale::from_env()).emit("ablation_vc_partitioning");
+    Experiment::VcPartitioning.write(Scale::from_env());
 }

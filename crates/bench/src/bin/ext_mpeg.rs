@@ -1,13 +1,6 @@
 //! Extension experiment: MPEG-2 GoP video traffic (the paper omitted
 //! these results for space).
-use noc_bench::{experiments::latency::latency_figure, Scale};
-use noc_traffic::TrafficKind;
+use noc_bench::{experiments::Experiment, Scale};
 fn main() {
-    let panels = latency_figure(TrafficKind::Mpeg, Scale::from_env());
-    for (i, t) in panels.into_iter().enumerate() {
-        t.emit_with_plot(
-            &format!("ext_mpeg_{}", (b'a' + i as u8) as char),
-            "average latency (cycles)",
-        );
-    }
+    Experiment::ExtMpeg.write(Scale::from_env());
 }

@@ -1,5 +1,5 @@
 //! Extension: mesh-size scaling sweep.
-use noc_bench::{experiments::scaling::scaling_table, Scale};
+use noc_bench::{experiments::Experiment, Scale};
 fn main() {
-    scaling_table(Scale::from_env()).emit("ext_scaling");
+    Experiment::ExtScaling.write(Scale::from_env());
 }

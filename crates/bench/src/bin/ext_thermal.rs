@@ -1,6 +1,6 @@
 //! Extension: thermal comparison of the three routers (the paper's §6
 //! future work).
-use noc_bench::{experiments::thermal::thermal_comparison, Scale};
+use noc_bench::{experiments::Experiment, Scale};
 fn main() {
-    thermal_comparison(Scale::from_env()).emit("ext_thermal");
+    Experiment::ExtThermal.write(Scale::from_env());
 }

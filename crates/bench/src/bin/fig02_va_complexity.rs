@@ -1,4 +1,5 @@
 //! Regenerates Fig 2 (VA/SA arbiter complexity comparison).
+use noc_bench::{experiments::Experiment, Scale};
 fn main() {
-    noc_bench::experiments::tables::fig2(3).emit("fig02_va_complexity");
+    Experiment::Fig2.write(Scale::from_env());
 }

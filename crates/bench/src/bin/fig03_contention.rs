@@ -1,9 +1,5 @@
 //! Regenerates Fig 3 (contention probabilities vs injection rate).
+use noc_bench::{experiments::Experiment, Scale};
 fn main() {
-    for (i, t) in noc_bench::experiments::contention::fig3().into_iter().enumerate() {
-        t.emit_with_plot(
-            &format!("fig03{}_contention", (b'a' + i as u8) as char),
-            "contention probability",
-        );
-    }
+    Experiment::Fig3.write(Scale::from_env());
 }

@@ -1,12 +1,5 @@
 //! Regenerates Fig 8 (latency vs injection, uniform random traffic).
-use noc_bench::{experiments::latency::latency_figure, Scale};
-use noc_traffic::TrafficKind;
+use noc_bench::{experiments::Experiment, Scale};
 fn main() {
-    let panels = latency_figure(TrafficKind::Uniform, Scale::from_env());
-    for (i, t) in panels.into_iter().enumerate() {
-        t.emit_with_plot(
-            &format!("fig08{}_uniform", (b'a' + i as u8) as char),
-            "average latency (cycles)",
-        );
-    }
+    Experiment::Fig8.write(Scale::from_env());
 }

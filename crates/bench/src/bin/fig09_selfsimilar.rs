@@ -1,12 +1,5 @@
 //! Regenerates Fig 9 (latency vs injection, self-similar traffic).
-use noc_bench::{experiments::latency::latency_figure, Scale};
-use noc_traffic::TrafficKind;
+use noc_bench::{experiments::Experiment, Scale};
 fn main() {
-    let panels = latency_figure(TrafficKind::SelfSimilar, Scale::from_env());
-    for (i, t) in panels.into_iter().enumerate() {
-        t.emit_with_plot(
-            &format!("fig09{}_selfsimilar", (b'a' + i as u8) as char),
-            "average latency (cycles)",
-        );
-    }
+    Experiment::Fig9.write(Scale::from_env());
 }

@@ -1,12 +1,5 @@
 //! Regenerates Fig 10 (latency vs injection, transpose traffic).
-use noc_bench::{experiments::latency::latency_figure, Scale};
-use noc_traffic::TrafficKind;
+use noc_bench::{experiments::Experiment, Scale};
 fn main() {
-    let panels = latency_figure(TrafficKind::Transpose, Scale::from_env());
-    for (i, t) in panels.into_iter().enumerate() {
-        t.emit_with_plot(
-            &format!("fig10{}_transpose", (b'a' + i as u8) as char),
-            "average latency (cycles)",
-        );
-    }
+    Experiment::Fig10.write(Scale::from_env());
 }

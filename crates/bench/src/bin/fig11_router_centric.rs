@@ -1,10 +1,6 @@
 //! Regenerates Fig 11 (completion probability, router-centric/critical
 //! faults).
-use noc_bench::{experiments::faults::completion_figure, Scale};
-use noc_fault::FaultCategory;
+use noc_bench::{experiments::Experiment, Scale};
 fn main() {
-    let panels = completion_figure(FaultCategory::Isolating, Scale::from_env());
-    for (i, t) in panels.into_iter().enumerate() {
-        t.emit(&format!("fig11{}_router_centric", (b'a' + i as u8) as char));
-    }
+    Experiment::Fig11.write(Scale::from_env());
 }

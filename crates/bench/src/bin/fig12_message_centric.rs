@@ -1,10 +1,6 @@
 //! Regenerates Fig 12 (completion probability, message-centric/
 //! non-critical faults, Hardware Recycling).
-use noc_bench::{experiments::faults::completion_figure, Scale};
-use noc_fault::FaultCategory;
+use noc_bench::{experiments::Experiment, Scale};
 fn main() {
-    let panels = completion_figure(FaultCategory::Recyclable, Scale::from_env());
-    for (i, t) in panels.into_iter().enumerate() {
-        t.emit(&format!("fig12{}_message_centric", (b'a' + i as u8) as char));
-    }
+    Experiment::Fig12.write(Scale::from_env());
 }

@@ -1,5 +1,5 @@
 //! Regenerates Fig 13 (energy per packet at 0.3 injection).
-use noc_bench::{experiments::energy::fig13, Scale};
+use noc_bench::{experiments::Experiment, Scale};
 fn main() {
-    fig13(Scale::from_env()).emit("fig13_energy");
+    Experiment::Fig13.write(Scale::from_env());
 }

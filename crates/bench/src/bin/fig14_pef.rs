@@ -1,23 +1,6 @@
 //! Regenerates Fig 14 (PEF metric under critical and non-critical
 //! faults) and prints the RoCo improvement headline.
-use noc_bench::{
-    experiments::pef::{fig14_panel, pef_improvement},
-    Scale,
-};
-use noc_core::RoutingKind;
-use noc_fault::FaultCategory;
+use noc_bench::{experiments::Experiment, Scale};
 fn main() {
-    let scale = Scale::from_env();
-    for (cat, tag) in
-        [(FaultCategory::Isolating, "a_critical"), (FaultCategory::Recyclable, "b_noncritical")]
-    {
-        let t = fig14_panel(cat, RoutingKind::Adaptive, scale);
-        let (vs_generic, vs_ps) = pef_improvement(&t);
-        t.emit(&format!("fig14{tag}_pef"));
-        println!(
-            "RoCo PEF improvement ({cat}): {:.0}% vs generic, {:.0}% vs path-sensitive\n",
-            vs_generic * 100.0,
-            vs_ps * 100.0
-        );
-    }
+    Experiment::Fig14.write(Scale::from_env());
 }

@@ -1,22 +1,15 @@
 //! Golden regression corpus runner (ISSUE 4).
 //!
 //! Re-runs every scenario in `crates/bench/src/golden.rs` and diffs
-//! the results against the committed files under `goldens/`. Pending
-//! files are recorded; populated files gate. `--update` (or
-//! `NOC_GOLDEN_UPDATE=1`) regenerates the whole corpus for an
-//! intentional behaviour change.
-//!
-//! `NOC_GOLDEN_STRICT=1` (set by CI, never alongside `--update`) ends
-//! the record-on-pending grace period: any scenario that had to be
-//! *recorded* instead of *compared* exits non-zero after the freshly
-//! written files are on disk, so the artifact upload still has them
-//! but the job fails loudly until they are committed.
+//! the results against the committed files under `goldens/`, exiting
+//! non-zero on any missing file or differing key. A check run writes
+//! nothing. `--update` regenerates the whole corpus for an intentional
+//! behaviour change.
 
 use noc_bench::golden::check_all;
 
 fn main() {
-    let update = std::env::args().any(|a| a == "--update")
-        || std::env::var("NOC_GOLDEN_UPDATE").is_ok_and(|v| v == "1");
+    let update = std::env::args().any(|a| a == "--update");
     if update {
         eprintln!("[golden] regenerating the corpus (--update)");
     }
@@ -24,15 +17,5 @@ fn main() {
     print!("{}", summary.render());
     if summary.failed() {
         std::process::exit(1);
-    }
-    let strict = std::env::var("NOC_GOLDEN_STRICT").map(|v| v != "0").unwrap_or(false);
-    if strict && !update && summary.recorded_count() > 0 {
-        eprintln!(
-            "NOC_GOLDEN_STRICT: {} golden file(s) were still pending and had to be recorded — \
-             the regression gate did not engage for them. Download the freshly recorded goldens \
-             from the CI artifacts and commit them.",
-            summary.recorded_count()
-        );
-        std::process::exit(3);
     }
 }

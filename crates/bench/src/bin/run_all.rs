@@ -1,69 +1,14 @@
 //! Regenerates every table and figure of the paper in one go (plus the
 //! extensions), writing CSVs under `results/`. Controlled by
 //! `NOC_SCALE` (quick | full | paper).
-use noc_bench::{experiments, Scale};
-use noc_core::RoutingKind;
-use noc_fault::FaultCategory;
-use noc_traffic::TrafficKind;
+use noc_bench::{experiments::Experiment, Scale};
 
 fn main() {
     let scale = Scale::from_env();
     let t0 = std::time::Instant::now();
     println!("# RoCo reproduction — full experiment suite\n");
-
-    experiments::tables::table1().emit("table01_vc_config");
-    experiments::tables::table2().emit("table02_nonblocking");
-    experiments::tables::fig2(3).emit("fig02_va_complexity");
-
-    for (i, t) in experiments::contention::fig3().into_iter().enumerate() {
-        t.emit_with_plot(
-            &format!("fig03{}_contention", (b'a' + i as u8) as char),
-            "contention probability",
-        );
+    for experiment in Experiment::RUN_ALL {
+        experiment.write(scale);
     }
-    for (fig, traffic) in [
-        ("fig08", TrafficKind::Uniform),
-        ("fig09", TrafficKind::SelfSimilar),
-        ("fig10", TrafficKind::Transpose),
-    ] {
-        for (i, t) in experiments::latency::latency_figure(traffic, scale).into_iter().enumerate() {
-            t.emit_with_plot(
-                &format!("{fig}{}_{traffic}", (b'a' + i as u8) as char),
-                "average latency (cycles)",
-            );
-        }
-    }
-    for (fig, cat) in [("fig11", FaultCategory::Isolating), ("fig12", FaultCategory::Recyclable)] {
-        for (i, t) in experiments::faults::completion_figure(cat, scale).into_iter().enumerate() {
-            t.emit(&format!("{fig}{}_completion", (b'a' + i as u8) as char));
-        }
-    }
-    experiments::energy::fig13(scale).emit("fig13_energy");
-    for (cat, tag) in
-        [(FaultCategory::Isolating, "a_critical"), (FaultCategory::Recyclable, "b_noncritical")]
-    {
-        let t = experiments::pef::fig14_panel(cat, RoutingKind::Adaptive, scale);
-        let (vs_g, vs_p) = experiments::pef::pef_improvement(&t);
-        t.emit(&format!("fig14{tag}_pef"));
-        println!(
-            "RoCo PEF improvement ({cat}): {:.0}% vs generic, {:.0}% vs path-sensitive\n",
-            vs_g * 100.0,
-            vs_p * 100.0
-        );
-    }
-    for (i, t) in
-        experiments::latency::latency_figure(TrafficKind::Mpeg, scale).into_iter().enumerate()
-    {
-        t.emit_with_plot(
-            &format!("ext_mpeg_{}", (b'a' + i as u8) as char),
-            "average latency (cycles)",
-        );
-    }
-    experiments::ablation::mirror_ablation(scale).emit("ablation_mirror");
-    experiments::ablation::adaptive_policy_ablation(scale).emit("ablation_adaptive_policy");
-    experiments::ablation::vc_sensitivity(scale).emit("ablation_vc_partitioning");
-    experiments::ablation::speculation_ablation(scale).emit("ablation_speculation");
-    experiments::thermal::thermal_comparison(scale).emit("ext_thermal");
-
     println!("\n[run_all completed in {:.1?}]", t0.elapsed());
 }

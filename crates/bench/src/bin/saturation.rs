@@ -1,6 +1,6 @@
 //! Saturation-throughput comparison across routers and routing
 //! algorithms (single-number summary of the Fig 8 curves).
-use noc_bench::{experiments::saturation::saturation_table, Scale};
+use noc_bench::{experiments::Experiment, Scale};
 fn main() {
-    saturation_table(Scale::from_env()).emit("saturation");
+    Experiment::Saturation.write(Scale::from_env());
 }

@@ -1,4 +1,5 @@
 //! Regenerates Table 1 (RoCo VC buffer configuration).
+use noc_bench::{experiments::Experiment, Scale};
 fn main() {
-    noc_bench::experiments::tables::table1().emit("table01_vc_config");
+    Experiment::Table1.write(Scale::from_env());
 }

@@ -1,4 +1,5 @@
 //! Regenerates Table 2 (non-blocking probabilities).
+use noc_bench::{experiments::Experiment, Scale};
 fn main() {
-    noc_bench::experiments::tables::table2().emit("table02_nonblocking");
+    Experiment::Table2.write(Scale::from_env());
 }

@@ -4,15 +4,14 @@
 //! the three routers, the routing algorithms, the traffic families,
 //! static and scheduled faults, and end-to-end recovery. Each scenario
 //! has a committed golden file under `goldens/` holding the run's
-//! [`SimResults::digest`] plus a handful of headline statistics; the
-//! runner re-executes every scenario and diffs the live values against
-//! the committed ones, key by key.
+//! [`SimResults::digest`], a handful of headline statistics and the
+//! run's exact work counts; the runner re-executes every scenario and
+//! diffs the live values against the committed ones, key by key.
 //!
-//! Bootstrapping: a golden file whose `digest` is the literal string
-//! `pending` is *recorded* — the runner fills in the observed values
-//! and reports the scenario as freshly recorded rather than failing.
-//! This lets the corpus be committed from an environment that cannot
-//! run the simulator; the first CI run populates it.
+//! The work counts make the corpus a machine-independent performance
+//! gate: a change that leaves behaviour alone but makes the kernel
+//! step more routers or scan more VC slots fails here on any machine,
+//! where a wall-clock gate would need a same-runner baseline.
 //!
 //! Intentional updates (a behaviour-changing commit) regenerate the
 //! corpus with `cargo run --release -p noc-bench --bin golden --
@@ -238,9 +237,12 @@ pub fn scenarios() -> Vec<GoldenScenario> {
     v
 }
 
-/// The stable key/value pairs recorded per scenario. `digest` is the
-/// gate; the remaining keys exist so drift produces a human-readable
-/// diff instead of a bare hash mismatch.
+/// The stable key/value pairs recorded per scenario. `digest` gates
+/// behaviour, and the headline keys make its drift a human-readable
+/// diff instead of a bare hash mismatch. The trailing work counts gate
+/// the simulator's own work: `router_steps` and `vc_slots_scanned`
+/// live outside the digest, and the arbitration, route-computation and
+/// buffer-write counts are summed as in the benchmark's outcome line.
 pub fn observed_values(res: &SimResults) -> Vec<(&'static str, String)> {
     let mut v = vec![
         ("digest", format!("{:#018x}", res.digest())),
@@ -264,6 +266,17 @@ pub fn observed_values(res: &SimResults) -> Vec<(&'static str, String)> {
     if let Some(r) = &res.recovery {
         v.push(("retransmissions", r.retransmissions.to_string()));
         v.push(("abandoned", r.abandoned_packets.to_string()));
+    }
+    let c = &res.counters;
+    for (k, n) in [
+        ("router_steps", res.router_steps),
+        ("vc_slots_scanned", res.vc_slots_scanned),
+        ("va_arbs", c.va_local_arbs + c.va_global_arbs),
+        ("sa_arbs", c.sa_local_arbs + c.sa_global_arbs),
+        ("rc", c.rc_computations),
+        ("buffer_writes", c.buffer_writes),
+    ] {
+        v.push((k, n.to_string()));
     }
     v
 }
@@ -299,8 +312,8 @@ pub fn parse_golden(text: &str) -> Vec<(String, String)> {
 pub enum ScenarioOutcome {
     /// Live values matched the committed golden exactly.
     Match,
-    /// The golden was pending (or `--update` was given) and has been
-    /// (re)written from the live run.
+    /// `--update` was given and the golden has been rewritten from the
+    /// live run.
     Recorded,
     /// The committed golden file is missing entirely.
     Missing,
@@ -327,16 +340,6 @@ pub struct GoldenSummary {
 }
 
 impl GoldenSummary {
-    /// Scenarios that were recorded this run rather than compared —
-    /// i.e. goldens that were still `pending` (or `--update` was
-    /// given). CI's strict mode (`NOC_GOLDEN_STRICT=1`) turns a
-    /// nonzero count into a hard failure: once the populate job has
-    /// run, a still-pending golden means the regression gate is
-    /// silently vacuous and the recorded files must be committed.
-    pub fn recorded_count(&self) -> usize {
-        self.runs.iter().filter(|r| r.outcome == ScenarioOutcome::Recorded).count()
-    }
-
     /// `true` when any scenario is missing, mismatched, or errored.
     pub fn failed(&self) -> bool {
         self.runs.iter().any(|r| {
@@ -382,26 +385,18 @@ impl GoldenSummary {
 }
 
 /// Compares one scenario's live results against its golden file in
-/// `dir`, recording it when pending (or `update` is set).
+/// `dir`, or rewrites the file when `update` is set.
 pub fn check_one(dir: &Path, name: &str, res: &SimResults, update: bool) -> GoldenRun {
     let path = dir.join(format!("{name}.txt"));
     let observed = observed_values(res);
-    let rewrite = |outcome: ScenarioOutcome| -> GoldenRun {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            return GoldenRun {
-                name: name.to_string(),
-                outcome: ScenarioOutcome::Error(e.to_string()),
-            };
-        }
-        match std::fs::write(&path, render_golden(name, &observed)) {
-            Ok(()) => GoldenRun { name: name.to_string(), outcome },
-            Err(e) => {
-                GoldenRun { name: name.to_string(), outcome: ScenarioOutcome::Error(e.to_string()) }
-            }
-        }
-    };
     if update {
-        return rewrite(ScenarioOutcome::Recorded);
+        let written = std::fs::create_dir_all(dir)
+            .and_then(|()| std::fs::write(&path, render_golden(name, &observed)));
+        let outcome = match written {
+            Ok(()) => ScenarioOutcome::Recorded,
+            Err(e) => ScenarioOutcome::Error(e.to_string()),
+        };
+        return GoldenRun { name: name.to_string(), outcome };
     }
     let text = match std::fs::read_to_string(&path) {
         Ok(t) => t,
@@ -416,9 +411,6 @@ pub fn check_one(dir: &Path, name: &str, res: &SimResults, update: bool) -> Gold
         }
     };
     let expected = parse_golden(&text);
-    if expected.iter().any(|(k, v)| k.as_str() == "digest" && v.as_str() == "pending") {
-        return rewrite(ScenarioOutcome::Recorded);
-    }
     let mut diffs = Vec::new();
     for &(k, ref got) in &observed {
         match expected.iter().find(|(ek, _)| ek.as_str() == k) {

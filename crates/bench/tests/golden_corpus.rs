@@ -1,6 +1,6 @@
 //! Golden corpus integration tests: the committed corpus stays in
 //! sync with the scenario list, runs are deterministic, and the
-//! pending-bootstrap / match / mismatch flows all work against a
+//! record / match / mismatch / missing flows all work against a
 //! scratch directory (the committed `goldens/` files are never
 //! touched here — CI's `golden-corpus` job runs the real gate).
 
@@ -27,18 +27,25 @@ fn every_scenario_has_a_committed_golden_file() {
 }
 
 #[test]
-fn pending_golden_is_recorded_then_matches_then_diffs() {
+fn golden_is_recorded_then_matches_then_diffs() {
     let dir = scratch_dir("flow");
     let scenario = &scenarios()[0];
     let res = noc_sim::run(scenario.config.clone());
 
-    // Bootstrap: a pending file is recorded, not failed.
-    std::fs::write(dir.join(format!("{}.txt", scenario.name)), "# scratch\ndigest = pending\n")
-        .unwrap();
+    // A file that still says `pending` is a mismatch like any other.
+    let pending = render_golden(scenario.name, &[("digest", "pending".to_string())]);
+    std::fs::write(dir.join(format!("{}.txt", scenario.name)), pending).unwrap();
     let run = check_one(&dir, scenario.name, &res, false);
-    assert_eq!(run.outcome, ScenarioOutcome::Recorded, "{:?}", run.outcome);
+    match run.outcome {
+        ScenarioOutcome::Mismatch(diffs) => {
+            assert!(diffs.iter().any(|d| d.starts_with("digest: expected pending")), "{diffs:?}");
+        }
+        other => panic!("expected a mismatch, got {other:?}"),
+    }
 
-    // Second pass over the recorded file matches exactly.
+    // `update` records the live values; a check pass then matches exactly.
+    let run = check_one(&dir, scenario.name, &res, true);
+    assert_eq!(run.outcome, ScenarioOutcome::Recorded, "{:?}", run.outcome);
     let run = check_one(&dir, scenario.name, &res, false);
     assert_eq!(run.outcome, ScenarioOutcome::Match, "{:?}", run.outcome);
 
@@ -88,10 +95,7 @@ fn scenario_runs_are_deterministic() {
 fn check_scenarios_summarises_against_scratch_goldens() {
     let dir = scratch_dir("summary");
     let subset: Vec<_> = scenarios().into_iter().take(2).collect();
-    for s in &subset {
-        std::fs::write(dir.join(format!("{}.txt", s.name)), "digest = pending\n").unwrap();
-    }
-    let summary = check_scenarios(&dir, &subset, false);
+    let summary = check_scenarios(&dir, &subset, true);
     assert!(!summary.failed(), "{}", summary.render());
     assert!(summary.runs.iter().all(|r| r.outcome == ScenarioOutcome::Recorded));
     let rendered = summary.render();

@@ -716,8 +716,9 @@ pub fn cmd_audit(args: &Args) -> Result<String, ArgError> {
 }
 
 /// `noc golden`: the golden regression corpus — re-runs every
-/// committed scenario and diffs digests and headline statistics;
-/// `--update true` regenerates the corpus after an intentional change.
+/// committed scenario and diffs digests, headline statistics and work
+/// counts; `--update true` regenerates the corpus after an intentional
+/// change.
 pub fn cmd_golden(args: &Args) -> Result<String, ArgError> {
     let unknown = args.unknown_flags(&["update"]);
     if !unknown.is_empty() {

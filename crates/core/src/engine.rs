@@ -662,6 +662,12 @@ impl RouterCore {
         self.hot_mask
     }
 
+    /// One bit per internal VC: a step over `scan` visits the VCs in
+    /// `scan & all_vcs()`.
+    pub fn all_vcs(&self) -> u64 {
+        self.all_vcs
+    }
+
     /// Whether an `Active` VC with flits to send is starved of credits
     /// on its downstream VC (ejection never starves: it needs no VC).
     /// `has_flits` is the VC's slab-ring non-emptiness. The per-cycle

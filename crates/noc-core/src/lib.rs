@@ -57,4 +57,4 @@ pub use topology::{
     TorusTopology, WRAP_AXIS_ORDER,
 };
 pub use vc::{Credit, TurnFilter, VcAdmission, VcClass, VcDescriptor, VcRef, VcRequest};
-pub use wake::{WakeIter, WakeSet};
+pub use wake::WakeSet;

@@ -85,11 +85,6 @@ impl WakeSet {
         self.words[i / WORD_BITS] >> (i % WORD_BITS) & 1 != 0
     }
 
-    /// Number of awake routers (word-wise popcount).
-    pub fn count_awake(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
     /// Number of storage words holding at least one awake bit — the
     /// profiler's wake-word occupancy gauge.
     pub fn occupied_words(&self) -> usize {
@@ -107,36 +102,6 @@ impl WakeSet {
     pub fn word(&self, w: usize) -> u64 {
         self.words[w]
     }
-
-    /// Awake indices in ascending order via per-word `trailing_zeros`.
-    pub fn iter(&self) -> WakeIter<'_> {
-        WakeIter { words: &self.words, word: 0, bits: self.words.first().copied().unwrap_or(0) }
-    }
-}
-
-/// Ascending iterator over awake indices.
-#[derive(Debug)]
-pub struct WakeIter<'a> {
-    words: &'a [u64],
-    word: usize,
-    bits: u64,
-}
-
-impl Iterator for WakeIter<'_> {
-    type Item = usize;
-
-    fn next(&mut self) -> Option<usize> {
-        while self.bits == 0 {
-            self.word += 1;
-            if self.word >= self.words.len() {
-                return None;
-            }
-            self.bits = self.words[self.word];
-        }
-        let bit = self.bits.trailing_zeros() as usize;
-        self.bits &= self.bits - 1;
-        Some(self.word * WORD_BITS + bit)
-    }
 }
 
 #[cfg(test)]
@@ -153,9 +118,9 @@ mod tests {
         x.wrapping_mul(0x2545_f491_4f6c_dd1d)
     }
 
-    /// Reference model: the `Vec<bool>` sweep the simulator used before.
-    fn model_iter(model: &[bool]) -> Vec<usize> {
-        model.iter().enumerate().filter(|(_, &a)| a).map(|(i, _)| i).collect()
+    /// Awake routers, counted from the raw words (popcount).
+    fn popcount(set: &WakeSet) -> usize {
+        set.words().iter().map(|w| w.count_ones() as usize).sum()
     }
 
     #[test]
@@ -163,8 +128,8 @@ mod tests {
         for len in [0, 1, 63, 64, 65, 100, 127, 128, 129, 1024] {
             let set = WakeSet::all_awake(len);
             assert_eq!(set.len(), len);
-            assert_eq!(set.count_awake(), len, "len {len}");
-            assert_eq!(set.iter().collect::<Vec<_>>(), (0..len).collect::<Vec<_>>());
+            assert_eq!(popcount(&set), len, "len {len}");
+            assert!((0..len).all(|i| set.is_awake(i)), "len {len}");
             // Invariant: no bits above `len` (popcount already proves it,
             // but check the raw tail word too).
             if len % 64 != 0 {
@@ -188,12 +153,7 @@ mod tests {
                     set.set(i, awake);
                     model[i] = awake;
                 }
-                assert_eq!(
-                    set.iter().collect::<Vec<_>>(),
-                    model_iter(&model),
-                    "iteration order diverged from Vec<bool> at len {len}"
-                );
-                assert_eq!(set.count_awake(), model.iter().filter(|&&a| a).count());
+                assert_eq!(popcount(&set), model.iter().filter(|&&a| a).count());
                 for (i, &awake) in model.iter().enumerate() {
                     assert_eq!(set.is_awake(i), awake, "membership at {i}, len {len}");
                 }
@@ -209,11 +169,10 @@ mod tests {
             let mut set = WakeSet::all_asleep(len);
             set.wake(len - 1);
             assert!(set.is_awake(len - 1));
-            assert_eq!(set.count_awake(), 1);
-            assert_eq!(set.iter().collect::<Vec<_>>(), vec![len - 1]);
+            assert_eq!(popcount(&set), 1);
             assert_eq!(set.occupied_words(), 1);
             set.sleep(len - 1);
-            assert_eq!(set.count_awake(), 0);
+            assert_eq!(popcount(&set), 0);
             assert_eq!(set.occupied_words(), 0);
         }
     }
@@ -224,7 +183,7 @@ mod tests {
         set.wake(64);
         set.wake(64);
         set.wake(65);
-        assert_eq!(set.count_awake(), 2);
+        assert_eq!(popcount(&set), 2);
         set.sleep(64);
         assert!(!set.is_awake(64));
         assert!(set.is_awake(65));

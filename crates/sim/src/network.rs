@@ -257,6 +257,12 @@ pub struct Simulation {
     /// Σ `sources[i].len()` — flits awaiting injection, kept
     /// incrementally so [`Simulation::flits_in_system`] is O(1).
     pub(crate) source_total: usize,
+    /// Router steps taken so far (the simulator's own work, reported
+    /// as [`SimResults::router_steps`]).
+    router_steps: u64,
+    /// VC slots the stepped routers scanned so far
+    /// ([`SimResults::vc_slots_scanned`]).
+    vc_slots_scanned: u64,
     /// Master RNG, consumed only by the sequential phases (traffic
     /// generation, injection ordering). Router steps and injections
     /// draw from counter-based per-router streams instead
@@ -431,6 +437,8 @@ impl Simulation {
             occ_cache: vec![0; nodes],
             occ_total: 0,
             source_total: 0,
+            router_steps: 0,
+            vc_slots_scanned: 0,
             rng,
             cycle: 0,
             stats: StatsCollector::new(),
@@ -633,21 +641,9 @@ impl Simulation {
         self.generate_traffic();
         self.inject();
         self.prof_phase(Phase::Traffic, &mut mark);
-        // Wake-set gauge: the routers due to step this cycle (all of
-        // them under Reference, the active set otherwise).
-        if self.profiler.is_some() {
-            let n = self.routers.len() as u64;
-            let stepped = if self.cfg.kernel == KernelMode::Reference {
-                n
-            } else {
-                self.wake.count_awake() as u64
-            };
-            let occupied = self.wake.occupied_words() as u64;
-            let words = self.wake.words().len() as u64;
-            if let Some(p) = self.profiler.as_deref_mut() {
-                p.record_wake(stepped, n);
-                p.record_wake_words(occupied, words);
-            }
+        // Wake-word gauge, read before phase 3 edits the wake set.
+        if let Some(p) = self.profiler.as_deref_mut() {
+            p.record_wake_words(self.wake.occupied_words() as u64, self.wake.words().len() as u64);
         }
         // Phase 3: router pipelines. Neighbour statuses come from the
         // published-status buffer, which only changes when a §4.1
@@ -655,7 +651,13 @@ impl Simulation {
         // availability, not the instantaneous one. Every stepped
         // router draws from its own counter-based RNG stream, so
         // results do not depend on which kernel runs this phase.
+        let steps_before = self.router_steps;
         self.step_routers();
+        // Wake-set gauge: the routers stepped this cycle (every router
+        // under Reference, the awake set under Soa).
+        if let Some(p) = self.profiler.as_deref_mut() {
+            p.record_wake(self.router_steps - steps_before, self.routers.len() as u64);
+        }
         self.prof_phase(Phase::Routers, &mut mark);
         // Stall detection: once generation has ended, a long silence
         // means the remaining packets are wedged behind faults.
@@ -744,6 +746,8 @@ impl Simulation {
                 self.neighbor_idx[i][dir.index()].map(|n| self.statuses[n]);
         }
         ctx.mask = self.mask.as_ref();
+        self.router_steps += 1;
+        self.vc_slots_scanned += u64::from((scan & self.routers[i].core.all_vcs()).count_ones());
         let report = self.routers[i].step(&mut ctx, &mut self.slab.window(i), out, scan);
         self.absorb_step(i, out);
         self.vc_busy[i] = report.busy_vcs;
@@ -1534,6 +1538,8 @@ impl Simulation {
             classes: self.stats.class_histograms.summaries(),
             counters,
             contention,
+            router_steps: self.router_steps,
+            vc_slots_scanned: self.vc_slots_scanned,
             energy,
             energy_per_packet: if delivered == 0 { 0.0 } else { energy.total() / delivered as f64 },
             stalled: self.stalled,

@@ -16,7 +16,6 @@
 //! excluded from the digest, the golden corpus and every byte-compared
 //! artifact.
 
-use crate::json::{write_f64, write_key};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -88,7 +87,8 @@ impl Profiler {
     }
 
     /// Records the wake-set occupancy of one cycle: `stepped` of
-    /// `routers` routers were due to step.
+    /// `routers` routers stepped (the cycle's increase of
+    /// [`crate::SimResults::router_steps`]).
     pub(crate) fn record_wake(&mut self, stepped: u64, routers: u64) {
         self.stepped_total += stepped;
         self.stepped_max = self.stepped_max.max(stepped);
@@ -154,7 +154,11 @@ impl Profiler {
 ///
 /// All `*_s` fields are wall-clock seconds and vary run to run; the
 /// report is diagnostic output only and never enters digests, goldens
-/// or byte-compared campaign JSON.
+/// or byte-compared campaign JSON. `noc run --profile` renders it, the
+/// exporter registry publishes it (`export_profile`), and the
+/// repository benchmark (`benchmark/`) reads its fields, so every
+/// field stays. The wake-set counts are exact: `stepped_mean × cycles`
+/// rounds to [`crate::SimResults::router_steps`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProfileReport {
     /// Cycles the profiler observed.
@@ -224,43 +228,11 @@ impl ProfileReport {
         );
         out
     }
-
-    /// Serializes the report as one JSON object (the `profile` section
-    /// of BENCH_sim_throughput.json).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        let mut first = true;
-        write_key(&mut out, &mut first, "cycles");
-        let _ = write!(out, "{}", self.cycles);
-        for (key, value) in [
-            ("wall_s", self.wall_s),
-            ("faults_s", self.faults_s),
-            ("links_s", self.links_s),
-            ("credits_s", self.credits_s),
-            ("traffic_s", self.traffic_s),
-            ("routers_s", self.routers_s),
-            ("audit_s", self.audit_s),
-            ("metrics_s", self.metrics_s),
-            ("stepped_mean", self.stepped_mean),
-            ("wake_fraction", self.wake_fraction),
-            ("wake_word_occupancy", self.wake_word_occupancy),
-        ] {
-            write_key(&mut out, &mut first, key);
-            write_f64(&mut out, value);
-        }
-        write_key(&mut out, &mut first, "stepped_max");
-        let _ = write!(out, "{}", self.stepped_max);
-        write_key(&mut out, &mut first, "capacity_growth_events");
-        let _ = write!(out, "{}", self.capacity_growth_events);
-        out.push('}');
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::Json;
 
     #[test]
     fn accumulates_phases_and_wake_set() {
@@ -280,6 +252,7 @@ mod tests {
         assert!((r.wake_fraction - 0.25).abs() < 1e-12);
         assert!((r.wake_word_occupancy - 3.0 / 8.0).abs() < 1e-12);
         assert_eq!(r.capacity_growth_events, 0);
+        assert!(r.render().contains("wake set"));
     }
 
     #[test]
@@ -290,20 +263,5 @@ mod tests {
         p.end_cycle(128, 64); // flit buffer grew
         p.end_cycle(128, 96); // credit buffer grew
         assert_eq!(p.report().capacity_growth_events, 2);
-    }
-
-    #[test]
-    fn report_serializes_to_parseable_json() {
-        let mut p = Profiler::new();
-        p.record_wake(2, 4);
-        p.end_cycle(8, 8);
-        let r = p.report();
-        let v = Json::parse(&r.to_json()).expect("valid JSON");
-        assert_eq!(v.get("cycles").unwrap().as_u64(), Some(1));
-        assert_eq!(v.get("stepped_max").unwrap().as_u64(), Some(2));
-        assert!(v.get("wall_s").unwrap().as_f64().is_some());
-        assert!(v.get("credits_s").unwrap().as_f64().is_some());
-        assert!(v.get("wake_word_occupancy").unwrap().as_f64().is_some());
-        assert!(r.render().contains("wake set"));
     }
 }

@@ -49,6 +49,16 @@ pub struct SimResults {
     pub counters: ActivityCounters,
     /// Network-wide SA contention (Fig 3).
     pub contention: ContentionCounters,
+    /// Router steps the cycle kernel took: every router every cycle
+    /// under [`crate::KernelMode::Reference`], the awake ones under
+    /// `Soa`. This is the simulator's own work, not simulated
+    /// behaviour, so it differs between kernels by design and stays
+    /// out of [`Self::digest`].
+    pub router_steps: u64,
+    /// VC slots those steps scanned: per step, the router's VCs inside
+    /// the scan mask (all of them under `Reference`, the busy-VC
+    /// superset under `Soa`). Outside the digest like `router_steps`.
+    pub vc_slots_scanned: u64,
     /// Network-wide energy by component.
     pub energy: EnergyBreakdown,
     /// Total energy / delivered packets, in joules.
@@ -123,14 +133,15 @@ impl SimResults {
     /// FNV-1a over every behavioural result field, floats by bit
     /// pattern. Equal digests ⇔ (up to hash collision) bit-identical
     /// results. This is the single digest definition shared by the
-    /// kernel-equivalence gate (`perf` bin), the differential fuzzer
-    /// and the golden regression corpus. Diagnostic attachments
-    /// (`postmortem`, `audit`, `profile`) are deliberately excluded:
-    /// they describe the run, not the simulated behaviour — `profile`
-    /// in particular is wall-clock data that differs on every
-    /// execution. `classes` is likewise excluded as a derived view of
-    /// the latency stream already digested through the aggregate
-    /// percentiles.
+    /// kernel-equivalence tests, the differential fuzzer and the golden
+    /// regression corpus. Diagnostic attachments (`postmortem`,
+    /// `audit`, `profile`) are deliberately excluded: they describe the
+    /// run, not the simulated behaviour — `profile` in particular is
+    /// wall-clock data that differs on every execution. `classes` is
+    /// likewise excluded as a derived view of the latency stream
+    /// already digested through the aggregate percentiles, and the
+    /// simulator's own work counts (`router_steps`,
+    /// `vc_slots_scanned`) because they differ between kernels.
     pub fn digest(&self) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         let mut mix = |v: u64| {
@@ -265,6 +276,8 @@ mod tests {
             classes: Vec::new(),
             counters: ActivityCounters::default(),
             contention: ContentionCounters::default(),
+            router_steps: 0,
+            vc_slots_scanned: 0,
             energy: EnergyBreakdown::default(),
             energy_per_packet: 0.0,
             stalled: false,

@@ -48,8 +48,14 @@ fn digest_identical_with_profiling_on_or_off_across_kernels() {
             profiled.digest(),
             "{kernel:?}: kernels must stay bit-identical while profiled"
         );
+        assert_eq!(plain.router_steps, profiled.router_steps, "{kernel:?}: same work");
         let report = profiled.profile.expect("profiling on yields a report");
         assert_eq!(report.cycles, profiled.cycles, "the profiler saw every cycle");
+        assert_eq!(
+            (report.stepped_mean * report.cycles as f64).round() as u64,
+            profiled.router_steps,
+            "{kernel:?}: the wake gauge counts every router step"
+        );
         assert!(report.wall_s > 0.0);
         assert!(report.stepped_max as f64 >= report.stepped_mean);
         assert!(report.wake_fraction > 0.0 && report.wake_fraction <= 1.0);

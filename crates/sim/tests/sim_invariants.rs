@@ -1,8 +1,8 @@
 //! Simulator-level invariants (run in debug so the engine's
 //! `debug_assert!`s — credit conservation, SA-with-credit — are armed).
 
-use noc_core::{RouterKind, RoutingKind};
-use noc_sim::{run, SimConfig, Simulation};
+use noc_core::{MeshConfig, RouterKind, RoutingKind};
+use noc_sim::{run, KernelMode, SimConfig, Simulation};
 use noc_traffic::TrafficKind;
 
 fn cfg(router: RouterKind) -> SimConfig {
@@ -103,5 +103,39 @@ fn mpeg_and_selfsimilar_complete_on_all_routers() {
             let r = run(c);
             assert_eq!(r.completion_probability(), 1.0, "{router}/{traffic}");
         }
+    }
+}
+
+/// The simulator's own work: Reference steps every router every cycle
+/// over all of RoCo's 12 VCs (Table 1); Soa reaches the same digest
+/// with fewer steps and scans, so neither count can be in the digest.
+/// How few VC slots Soa scans is pinned per scenario by the golden
+/// corpus.
+#[test]
+fn work_counts_follow_the_kernel() {
+    let reference = run(cfg(RouterKind::RoCo).with_kernel(KernelMode::Reference));
+    let soa = run(cfg(RouterKind::RoCo).with_kernel(KernelMode::Soa));
+    assert_eq!(reference.digest(), soa.digest());
+    assert_eq!(reference.router_steps, reference.cycles * 64);
+    assert_eq!(reference.vc_slots_scanned, reference.router_steps * 12);
+    assert!(soa.router_steps < reference.router_steps);
+    assert!(soa.vc_slots_scanned < reference.vc_slots_scanned);
+}
+
+/// The flat flit slab is sized once from the config, so its geometry
+/// is a pure function of the mesh: nominal VC depth plus two slots of
+/// poison slop per ring, 40-byte flits.
+#[test]
+fn slab_geometry_at_paper_config() {
+    assert_eq!(std::mem::size_of::<noc_core::Flit>(), 40);
+    for (side, slots, bytes) in
+        [(4, 1_344, 55_392), (8, 5_376, 221_280), (16, 21_504, 884_832), (32, 86_016, 3_539_040)]
+    {
+        let mut cfg =
+            SimConfig::paper_scaled(RouterKind::RoCo, RoutingKind::Xy, TrafficKind::Uniform);
+        cfg.mesh = MeshConfig::new(side, side);
+        let sim = Simulation::new(cfg);
+        let slab = sim.slab();
+        assert_eq!((slab.slot_count(), slab.footprint_bytes()), (slots, bytes), "{side}x{side}");
     }
 }
