@@ -234,6 +234,26 @@ pub fn scenarios() -> Vec<GoldenScenario> {
     push("chiplet-uniform-xy", wrapped(chiplet, 0.18, 0xA019));
     push("chiplet-mtbf-campaign", with_mtbf(wrapped(chiplet, 0.15, 0xA01A), 0xFA09));
 
+    // Fault-aware routing: a transient wall of three nodes that lose
+    // both crossbar axes, so the link mask, the reachability map and
+    // the `unroutable` outcome all feed the digest.
+    {
+        let mut cfg = base(RoCo, Adaptive, TrafficKind::Uniform, (4, 4), 0.15, 0xA01B);
+        for y in 0..3 {
+            for axis in [noc_core::Axis::X, noc_core::Axis::Y] {
+                cfg.schedule.push_transient(
+                    80,
+                    Coord::new(1, y),
+                    noc_core::ComponentFault::new(noc_core::FaultComponent::Crossbar, axis),
+                    150,
+                );
+            }
+        }
+        cfg.recovery = Some(RecoveryConfig { timeout: 150, max_retries: 2, backoff_cap: 1_200 });
+        cfg.fault_routing = true;
+        push("roco-faultaware-wall", cfg);
+    }
+
     v
 }
 

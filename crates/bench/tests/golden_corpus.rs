@@ -92,6 +92,26 @@ fn scenario_runs_are_deterministic() {
 }
 
 #[test]
+fn faultaware_scenario_fails_packets_fast_under_both_kernels() {
+    // The one scenario with `fault_routing` on must actually reach the
+    // reachability map's fast-fail path, and the wake-gated kernel
+    // must agree with the Reference kernel across its mask rebuilds.
+    let scenario = scenarios()
+        .into_iter()
+        .find(|s| s.name == "roco-faultaware-wall")
+        .expect("fault-aware scenario exists");
+    assert!(scenario.config.fault_routing);
+    let soa = noc_sim::run(scenario.config.clone());
+    let mut reference = scenario.config;
+    reference.kernel = noc_sim::KernelMode::Reference;
+    let reference = noc_sim::run(reference);
+    assert_eq!(soa.digest(), reference.digest());
+    let unroutable = soa.recovery.as_ref().map_or(0, |r| r.unroutable_packets);
+    assert!(unroutable > 0, "no packet failed fast as unroutable");
+    assert!(soa.audit.as_ref().is_some_and(|r| r.clean()), "golden run must audit clean");
+}
+
+#[test]
 fn check_scenarios_summarises_against_scratch_goldens() {
     let dir = scratch_dir("summary");
     let subset: Vec<_> = scenarios().into_iter().take(2).collect();

@@ -6,7 +6,8 @@
 //! output link on that side is currently usable — so route computation
 //! can exclude dead links with a single mask intersection instead of a
 //! status lookup per candidate. [`ReachabilityMap`] is the source-side
-//! companion: per-destination connectivity over the masked link graph,
+//! companion: all-pairs connectivity over the masked link graph, built
+//! in O(nodes + links) from its strongly connected components and
 //! recomputed only when a republication actually changes the mask, so
 //! sources can fail packets toward unreachable destinations fast
 //! (`unroutable`) instead of burning bounded-retry cycles.
@@ -118,7 +119,7 @@ impl LinkMask {
     }
 }
 
-/// Per-destination connectivity over the masked link graph.
+/// Source-to-destination connectivity over the masked link graph.
 ///
 /// `reachable(src, dst)` answers "does *any* path of usable links lead
 /// from `src` to `dst`?" — a sound over-approximation of every routing
@@ -126,69 +127,132 @@ impl LinkMask {
 /// deliver the packet, so failing fast is safe; when it says reachable
 /// but the turn model still cannot get there, the packet falls back to
 /// the normal retry/abandon path and accounting stays closed.
+///
+/// The map stores the *strongly* connected components of the masked
+/// graph — the mask is directional (a node's own output can be
+/// unserviceable while its neighbour is alive), so plain connected
+/// components would over-report — plus one reachability bitset per
+/// component over the condensation DAG. With `k` dead nodes there are
+/// about `k + 1` components, so the map is a component id per node and
+/// a few words per component.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReachabilityMap {
-    topo: Topology,
-    /// Row-major `[dst][src]` reachability, flattened.
-    reach: Vec<bool>,
+    /// Grid width, for flat node indices.
+    width: u16,
+    /// Component of each node, numbered sinks first.
+    comp: Vec<u32>,
+    /// `u64` words per component row.
+    words: usize,
+    /// Row `c`, bit `c'`: component `c` reaches component `c'`.
+    reach: Vec<u64>,
 }
 
 impl ReachabilityMap {
-    /// Computes reachability by a backward BFS from every destination
-    /// over the reversed masked link graph. O(nodes²) — recomputed only
-    /// on republication events, never on the cycle hot path.
+    /// Computes the map with one iterative Tarjan pass over the masked
+    /// link graph, O(nodes + links), plus C²/64 words for C components.
+    /// Tarjan emits components sinks first, so each component's row is
+    /// the OR of its successors' finished rows. Recomputed only on
+    /// republication events, never on the cycle hot path.
     pub fn compute(mask: &LinkMask) -> Self {
-        let topo = mask.topology().clone();
-        let grid = topo.grid();
+        const UNSEEN: u32 = u32::MAX;
+        let topo = mask.topology();
+        let width = topo.grid().width;
         let n = topo.nodes();
-        let mut reach = vec![false; n * n];
-        let mut queue = Vec::with_capacity(n);
-        for dst in 0..n {
-            let row = &mut reach[dst * n..(dst + 1) * n];
-            row[dst] = true;
-            queue.clear();
-            queue.push(dst);
-            while let Some(v) = queue.pop() {
-                let vc = Coord::from_index(v, grid.width);
-                // Predecessors: nodes u with a usable link into v.
-                // Port symmetry gives: u --dir.opposite()--> v.
-                for dir in Direction::MESH {
-                    let Some(u) = topo.neighbor(vc, dir) else { continue };
-                    let ui = u.index(grid.width);
-                    if !row[ui] && mask.usable(u, dir.opposite()) {
-                        row[ui] = true;
-                        queue.push(ui);
+        let successor = |v: usize, dir: Direction| {
+            if mask.node_bits(v) & (1 << dir.index()) == 0 {
+                return None;
+            }
+            topo.neighbor(Coord::from_index(v, width), dir).map(|c| c.index(width))
+        };
+
+        // Tarjan: `order` is the discovery index, `low` the low-link.
+        // A visited node whose `comp` is still UNSEEN is on `stack`.
+        let mut order = vec![UNSEEN; n];
+        let mut low = vec![0u32; n];
+        let mut comp = vec![UNSEEN; n];
+        let mut stack: Vec<u32> = Vec::new();
+        // DFS frames: (node, index into Direction::MESH of the next edge).
+        let mut frames: Vec<(u32, usize)> = Vec::new();
+        // Nodes in emission order; `ends[c]` closes component `c`.
+        let mut members: Vec<u32> = Vec::with_capacity(n);
+        let mut ends: Vec<usize> = Vec::new();
+        let mut visited = 0u32;
+        for root in 0..n {
+            if order[root] != UNSEEN {
+                continue;
+            }
+            order[root] = visited;
+            low[root] = visited;
+            visited += 1;
+            stack.push(root as u32);
+            frames.push((root as u32, 0));
+            while let Some(frame) = frames.last_mut() {
+                let v = frame.0 as usize;
+                if let Some(&dir) = Direction::MESH.get(frame.1) {
+                    frame.1 += 1;
+                    let Some(w) = successor(v, dir) else { continue };
+                    if order[w] == UNSEEN {
+                        order[w] = visited;
+                        low[w] = visited;
+                        visited += 1;
+                        stack.push(w as u32);
+                        frames.push((w as u32, 0));
+                    } else if comp[w] == UNSEEN {
+                        low[v] = low[v].min(order[w]);
                     }
+                    continue;
+                }
+                frames.pop();
+                if let Some(&(parent, _)) = frames.last() {
+                    let parent = parent as usize;
+                    low[parent] = low[parent].min(low[v]);
+                }
+                if low[v] == order[v] {
+                    let id = ends.len() as u32;
+                    while let Some(w) = stack.pop() {
+                        comp[w as usize] = id;
+                        members.push(w);
+                        if w as usize == v {
+                            break;
+                        }
+                    }
+                    ends.push(members.len());
                 }
             }
         }
-        ReachabilityMap { topo, reach }
-    }
 
-    /// The topology this map covers.
-    pub fn topology(&self) -> &Topology {
-        &self.topo
-    }
-
-    /// Human-readable name of `node` under the covered topology (for
-    /// postmortems and reports; meshes print `(x,y)`, circulants `#i`,
-    /// chiplet meshes `chip(cx,cy)/(lx,ly)`).
-    pub fn node_name(&self, node: Coord) -> String {
-        self.topo.node_name(node)
+        // Every successor component of `c` was emitted before `c`, so
+        // its row is final. A successor whose bit is already set adds
+        // nothing: some row ORed earlier reaches it and so holds its
+        // whole row.
+        let words = ends.len().div_ceil(64);
+        let mut reach = vec![0u64; ends.len() * words];
+        let mut start = 0;
+        for (c, &end) in ends.iter().enumerate() {
+            let (done, rest) = reach.split_at_mut(c * words);
+            let row = &mut rest[..words];
+            row[c / 64] |= 1 << (c % 64);
+            for &v in &members[start..end] {
+                for dir in Direction::MESH {
+                    let Some(w) = successor(v as usize, dir) else { continue };
+                    let s = comp[w] as usize;
+                    if row[s / 64] & (1 << (s % 64)) == 0 {
+                        for (a, b) in row.iter_mut().zip(&done[s * words..(s + 1) * words]) {
+                            *a |= b;
+                        }
+                    }
+                }
+            }
+            start = end;
+        }
+        ReachabilityMap { width, comp, words, reach }
     }
 
     /// Whether any path of usable links leads from `src` to `dst`.
     pub fn reachable(&self, src: Coord, dst: Coord) -> bool {
-        let grid = self.topo.grid();
-        let n = self.topo.nodes();
-        self.reach[dst.index(grid.width) * n + src.index(grid.width)]
-    }
-
-    /// Number of sources that can reach `dst` (including `dst` itself).
-    pub fn sources_reaching(&self, dst: Coord) -> usize {
-        let n = self.topo.nodes();
-        let d = dst.index(self.topo.grid().width);
-        self.reach[d * n..(d + 1) * n].iter().filter(|&&r| r).count()
+        let s = self.comp[src.index(self.width)] as usize;
+        let d = self.comp[dst.index(self.width)] as usize;
+        self.reach[s * self.words + d / 64] & (1 << (d % 64)) != 0
     }
 }
 
@@ -230,7 +294,8 @@ mod tests {
                 assert!(r.reachable(s, d), "{s:?} should reach {d:?}");
             }
         }
-        assert_eq!(r.sources_reaching(Coord::new(2, 2)), 16);
+        let dst = Coord::new(2, 2);
+        assert_eq!((0..16).filter(|&s| r.reachable(Coord::from_index(s, 4), dst)).count(), 16);
     }
 
     #[test]
@@ -245,7 +310,8 @@ mod tests {
         assert!(r.reachable(Coord::new(3, 0), Coord::new(2, 3)));
         assert!(!r.reachable(Coord::new(0, 0), Coord::new(2, 0)));
         assert!(!r.reachable(Coord::new(3, 3), Coord::new(1, 3)));
-        assert_eq!(r.sources_reaching(Coord::new(0, 0)), 8);
+        let dst = Coord::new(0, 0);
+        assert_eq!((0..16).filter(|&s| r.reachable(Coord::from_index(s, 4), dst)).count(), 8);
     }
 
     #[test]

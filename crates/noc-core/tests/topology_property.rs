@@ -3,7 +3,8 @@
 //! every supported topology must expose a *symmetric* port map (a link
 //! is one physical object seen from two ends) and build link masks
 //! that round-trip through published node statuses exactly like the
-//! simulator's fault view does.
+//! simulator's fault view does. The reachability map is checked pair
+//! for pair against a per-destination BFS oracle.
 
 use noc_core::rng::SplitMix64;
 use noc_core::{
@@ -44,6 +45,69 @@ fn topologies() -> Vec<(String, Topology)> {
 fn nodes_of(topo: &Topology) -> impl Iterator<Item = Coord> + '_ {
     let grid = topo.grid();
     (0..topo.nodes()).map(move |i| Coord::from_index(i, grid.width))
+}
+
+/// The reachability oracle: one backward BFS per destination over the
+/// reversed masked link graph, O(nodes²). Row-major `[dst][src]`.
+fn bfs_reachability(topo: &Topology, mask: &LinkMask) -> Vec<bool> {
+    let grid = topo.grid();
+    let n = topo.nodes();
+    let mut reach = vec![false; n * n];
+    let mut queue = Vec::with_capacity(n);
+    for dst in 0..n {
+        let row = &mut reach[dst * n..(dst + 1) * n];
+        row[dst] = true;
+        queue.clear();
+        queue.push(dst);
+        while let Some(v) = queue.pop() {
+            let vc = Coord::from_index(v, grid.width);
+            // Predecessors: nodes u with a usable link into v.
+            // Port symmetry gives: u --dir.opposite()--> v.
+            for dir in Direction::MESH {
+                let Some(u) = topo.neighbor(vc, dir) else { continue };
+                let ui = u.index(grid.width);
+                if !row[ui] && mask.usable(u, dir.opposite()) {
+                    row[ui] = true;
+                    queue.push(ui);
+                }
+            }
+        }
+    }
+    reach
+}
+
+/// What the oracle comparison has covered so far, so it cannot pass
+/// on a sample without the cases that tell SCCs from weaker maps.
+#[derive(Default)]
+struct OracleCoverage {
+    /// Pairs where `s` reaches `d` but `d` does not reach `s`.
+    asymmetric: usize,
+    /// Pairs where `s` does not reach `d`.
+    unreachable: usize,
+    /// Most strongly connected components seen in one mask.
+    max_components: usize,
+}
+
+/// Asserts `ReachabilityMap` equals the BFS oracle on every pair.
+fn check_against_oracle(name: &str, topo: &Topology, mask: &LinkMask, cov: &mut OracleCoverage) {
+    let n = topo.nodes();
+    let width = topo.grid().width;
+    let oracle = bfs_reachability(topo, mask);
+    let at = |s: usize, d: usize| oracle[d * n + s];
+    let map = ReachabilityMap::compute(mask);
+    let mut components = 0;
+    for s in 0..n {
+        let sc = Coord::from_index(s, width);
+        for d in 0..n {
+            let dc = Coord::from_index(d, width);
+            assert_eq!(map.reachable(sc, dc), at(s, d), "{name}: {sc} -> {dc}");
+            cov.unreachable += usize::from(!at(s, d));
+            cov.asymmetric += usize::from(at(s, d) && !at(d, s));
+        }
+        // `s` is the lowest-numbered node of its component.
+        components += usize::from((0..s).all(|u| !(at(u, s) && at(s, u))));
+    }
+    cov.max_components = cov.max_components.max(components);
 }
 
 #[test]
@@ -119,8 +183,7 @@ fn status_masks_round_trip_on_every_topology() {
                 }
             }
             // And reachability honours the holes: nobody reaches the
-            // dead node, every healthy pair on a healthy residual
-            // graph reaches each other through the map's BFS.
+            // dead node.
             let map = ReachabilityMap::compute(&mask);
             for n in nodes_of(&topo) {
                 if n != dead {
@@ -138,4 +201,48 @@ fn status_masks_round_trip_on_every_topology() {
             }
         }
     }
+}
+
+#[test]
+fn reachability_map_matches_the_bfs_oracle() {
+    let mut rng = SplitMix64::new(0x5CC0_DA6E);
+    let mut shapes = topologies();
+    let big = TopologyConfig::Mesh.resolve(MeshConfig::new(32, 32)).unwrap();
+    shapes.push(("mesh 32x32".to_string(), big));
+    let mut cov = OracleCoverage::default();
+    for (name, topo) in &shapes {
+        check_against_oracle(&format!("{name} all up"), topo, &LinkMask::all_up(topo), &mut cov);
+        // Each direction of each link is drawn on its own, so one-way
+        // links are common.
+        for p in [0.3, 0.6, 0.85, 0.95] {
+            let mask = LinkMask::from_fn(topo, |_, _| rng.next_f64() < p);
+            check_against_oracle(&format!("{name} links at {p}"), topo, &mask, &mut cov);
+        }
+        // Published statuses: several whole-node deaths plus nodes that
+        // lost one module, whose outputs on that axis go dark while
+        // their neighbours still send into them.
+        for round in 0..3 {
+            let mut statuses = vec![NodeStatus::healthy(); topo.nodes()];
+            for _ in 0..2 + round {
+                let i = rng.below(topo.nodes() as u64) as usize;
+                statuses[i] =
+                    NodeStatus { row: ModuleHealth::Dead, col: ModuleHealth::Dead, rc_ok: false };
+                let j = rng.below(topo.nodes() as u64) as usize;
+                if rng.next_u64() & 1 == 0 {
+                    statuses[j].row = ModuleHealth::Dead;
+                } else {
+                    statuses[j].col = ModuleHealth::Dead;
+                }
+            }
+            let mask = LinkMask::from_statuses(topo, &statuses);
+            check_against_oracle(&format!("{name} statuses #{round}"), topo, &mask, &mut cov);
+        }
+        // All links down: every node is its own component, which on
+        // the 32x32 mesh needs multi-word component rows.
+        let down = LinkMask::from_fn(topo, |_, _| false);
+        check_against_oracle(&format!("{name} all down"), topo, &down, &mut cov);
+    }
+    assert!(cov.asymmetric > 0, "no asymmetric pair sampled");
+    assert!(cov.unreachable > 0, "no unreachable pair sampled");
+    assert!(cov.max_components > 64, "no mask with more than 64 components");
 }

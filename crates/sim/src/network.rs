@@ -226,8 +226,8 @@ pub struct Simulation {
     /// [`SimConfig::fault_routing`] is on — the routers then behave
     /// exactly as before the mask existed.
     pub(crate) mask: Option<LinkMask>,
-    /// Source-side reachability map over the reversed masked link
-    /// graph, recomputed together with `mask`. Drives the generation-
+    /// Source-side reachability map over the masked link graph,
+    /// recomputed together with `mask`. Drives the generation-
     /// time fail-fast and the retry short-circuit (the `unroutable`
     /// outcome). `None` unless fault-aware routing is on.
     pub(crate) reach: Option<ReachabilityMap>,
@@ -1344,20 +1344,16 @@ impl Simulation {
     /// aware routing view changes exactly when the neighbour views do
     /// — never earlier, never later — and carries the same bounded
     /// `handshake_latency` staleness.
+    ///
+    /// No router needs waking: a router sleeps only after a step left
+    /// it quiescent (no flit buffered, latched or pending, every VC
+    /// idle), so it holds no route the new mask could change and its
+    /// step is a no-op under any mask. A router wedged toward a
+    /// now-masked link holds a head flit and is therefore awake.
     fn rebuild_fault_view(&mut self) {
         let mask = LinkMask::from_statuses(&self.topology, &self.statuses);
         self.reach = Some(ReachabilityMap::compute(&mask));
         self.mask = Some(mask);
-        // The routing function just changed globally: a router wedged
-        // toward a now-masked (or now-recovered) link may be asleep far
-        // from the republishing site. Wake everyone so the reroute
-        // happens on the same cycle under both kernels — the Reference
-        // kernel steps every router regardless, and digest equality
-        // demands the wake-gated kernel observe the change on the same
-        // cycle.
-        for i in 0..self.routers.len() {
-            self.wake.wake(i);
-        }
     }
 
     /// Publishes router `site`'s current status and VC availability to

@@ -13,13 +13,18 @@
 #
 # run back to back, one process per side, with a new seed per pair and
 # the side that goes first alternating. The script prints one row per
-# (workload, metric): both medians, the head/base ratio and the base's
-# interquartile range relative to its median. It exits non-zero when a
-# process reports `correct: false` or when a median ratio is worse than
-# the metric's bound. A row whose base IQR exceeds the bound is marked
-# `unresolved`: on this runner that metric's noise is wider than the
-# change the bound allows. Needs git, python3 and the Rust toolchain;
-# all four workloads take about five minutes on a 2-vCPU machine.
+# (workload, metric): both medians, the head/base ratio, the base's
+# interquartile range relative to its median, and `wins k/PAIRS`, the
+# pairs in which head beat base in the metric's `better` direction
+# (ties count for neither). It exits non-zero when a process reports
+# `correct: false` or when a median ratio is worse than the metric's
+# bound. A row whose base IQR exceeds the bound is marked `unresolved`:
+# on this runner that metric's noise is wider than the change the bound
+# allows. A row is marked `gain` when head wins at least nine tenths of
+# the pairs (rounded up, so all 5 of 5) and the medians differ in head's
+# favour by more than the base IQR; `gain` never changes the exit
+# status. Needs git, python3 and the Rust toolchain; all four workloads
+# take about five minutes on a 2-vCPU machine.
 set -euo pipefail
 
 PAIRS=5
@@ -70,13 +75,14 @@ done
 
 status=0
 python3 - "$work/out" "$PAIRS" <<'EOF' || status=$?
-import json, statistics, sys
+import json, math, statistics, sys
 
 out, pairs = sys.argv[1], int(sys.argv[2])
 bench = json.load(open("BENCHMARK.json"))
 failed = False
+need = math.ceil(0.9 * pairs)
 print(f"{'workload':<20} {'metric':<16} {'base median':>12} {'head median':>12} "
-      f"{'ratio':>7} {'base IQR':>9}  verdict")
+      f"{'ratio':>7} {'base IQR':>9} {'wins':>6}  verdict")
 for w in (x["name"] for x in bench["workloads"]):
     runs = {}
     for side in ("base", "head"):
@@ -94,17 +100,21 @@ for w in (x["name"] for x in bench["workloads"]):
         q1, _, q3 = statistics.quantiles(base, n=4)
         iqr = (q3 - q1) / b
         ratio = h / b
-        worse = 1 - ratio if m["better"] == "higher" else ratio - 1
+        higher = m["better"] == "higher"
+        worse = 1 - ratio if higher else ratio - 1
+        wins = sum(y > x if higher else y < x for x, y in zip(base, head))
         verdict = []
         if worse > bound:
             verdict.append(f"WORSE than the {bound} bound")
             failed = True
         else:
             verdict.append("ok")
+        if wins >= need and (h - b if higher else b - h) > q3 - q1:
+            verdict.append("gain")
         if iqr > bound:
             verdict.append("unresolved")
-        print(f"{w:<20} {name:<16} {b:>12.5g} {h:>12.5g} {ratio:>7.3f} {iqr:>8.1%}  "
-              f"{', '.join(verdict)}")
+        print(f"{w:<20} {name:<16} {b:>12.5g} {h:>12.5g} {ratio:>7.3f} {iqr:>8.1%} "
+              f"{f'{wins}/{pairs}':>6}  {', '.join(verdict)}")
 sys.exit(1 if failed else 0)
 EOF
 echo "bench_ab: $(($(date +%s) - start))s wall"
