@@ -254,6 +254,29 @@ pub fn scenarios() -> Vec<GoldenScenario> {
         push("roco-faultaware-wall", cfg);
     }
 
+    // Allocator paths no other scenario reaches: RoCo's separable
+    // ablation with the non-speculative 3-stage pipeline, and a
+    // generic router wide enough (60 internal VCs, 12 per downstream
+    // link) that VA request words use most of their 64 bits.
+    {
+        let mut cfg = base(RoCo, Xy, TrafficKind::Uniform, (4, 4), 0.25, 0xA01C);
+        cfg.mirror_allocator = false;
+        cfg.speculative_sa = false;
+        push("roco-separable-nonspec", cfg);
+    }
+    {
+        let mut cfg = base(
+            Generic,
+            RoutingKind::AdaptiveOddEven,
+            TrafficKind::Transpose,
+            (4, 4),
+            0.20,
+            0xA01D,
+        );
+        cfg.vcs_per_port = Some(12);
+        push("generic-oddeven-60vc", cfg);
+    }
+
     v
 }
 
