@@ -2,10 +2,9 @@
 //!
 //! Arbiters and switch allocators for the RoCo reproduction:
 //!
-//! * [`RoundRobinArbiter`] — rotating-priority `v:1` arbiter, the basic
-//!   cell of every VA/SA unit in the paper's Fig 2 and Fig 4.
-//! * [`MatrixArbiter`] — least-recently-served arbiter for contended
-//!   output ports.
+//! * [`RoundRobinArbiter`] — rotating-priority `v:1` arbiter over a
+//!   `u64` request word, the basic cell of every VA/SA unit in the
+//!   paper's Fig 2 and Fig 4.
 //! * [`SeparableAllocator`] — classic input-first two-stage switch
 //!   allocator (generic router, Path-Sensitive router).
 //! * [`MirrorAllocator`] — the paper's Mirroring-Effect allocator
@@ -25,12 +24,10 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod matrix;
 mod mirror;
 mod rr;
 mod separable;
 
-pub use matrix::MatrixArbiter;
 pub use mirror::{max_matching_2x2, MirrorAllocator, MirrorGrant};
 pub use rr::RoundRobinArbiter;
 pub use separable::{AllocationEffort, SeparableAllocator, SwitchGrant, SwitchRequest};

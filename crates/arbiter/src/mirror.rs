@@ -74,7 +74,7 @@ impl MirrorAllocator {
                 match (p1[0], p1[1]) {
                     (true, false) => Some(1),
                     (false, true) => Some(0),
-                    _ => self.global.arbitrate(&[true, true]),
+                    _ => self.global.arbitrate(0b11),
                 }
             }
         };
@@ -89,7 +89,7 @@ impl MirrorAllocator {
                 (false, false) => None,
                 (true, false) => Some(0),
                 (false, true) => Some(1),
-                (true, true) => self.global.arbitrate(&[true, true]),
+                (true, true) => self.global.arbitrate(0b11),
             },
         };
         MirrorGrant { port0: p0_dir, port1: p1_dir }

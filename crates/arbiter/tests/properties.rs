@@ -9,8 +9,9 @@ use noc_core::rng::SmallRng;
 /// Random cases per property; case `i` draws from `SmallRng` seed `i`.
 const CASES: u64 = 256;
 
-fn bools(rng: &mut SmallRng, n: usize) -> Vec<bool> {
-    (0..n).map(|_| rng.gen_bool(0.5)).collect()
+/// A random request word over `n` requesters.
+fn word(rng: &mut SmallRng, n: usize) -> u64 {
+    (0..n).filter(|_| rng.gen_bool(0.5)).fold(0, |w, i| w | 1 << i)
 }
 
 /// A round-robin grant always points at an asserted request line.
@@ -21,10 +22,12 @@ fn rr_grant_subset_of_requests() {
         let n = rng.gen_range(1..12usize);
         let mut arb = RoundRobinArbiter::new(n);
         for _ in 0..rng.gen_range(1..50usize) {
-            let requests = bools(&mut rng, n);
-            match arb.arbitrate(&requests) {
-                Some(g) => assert!(requests[g], "case seed {seed}: grant {g} not requested"),
-                None => assert!(requests.iter().all(|&r| !r), "case seed {seed}: no grant"),
+            let requests = word(&mut rng, n);
+            match arb.arbitrate(requests) {
+                Some(g) => {
+                    assert!(requests >> g & 1 != 0, "case seed {seed}: grant {g} not requested")
+                }
+                None => assert_eq!(requests, 0, "case seed {seed}: no grant"),
             }
         }
     }
@@ -41,9 +44,8 @@ fn rr_no_starvation() {
         let mut arb = RoundRobinArbiter::new(n);
         let mut dry = 0usize;
         for _ in 0..30 {
-            let mut requests = bools(&mut rng, n);
-            requests[persistent] = true;
-            let g = arb.arbitrate(&requests).expect("a request is always asserted");
+            let requests = word(&mut rng, n) | 1 << persistent;
+            let g = arb.arbitrate(requests).expect("a request is always asserted");
             if g == persistent {
                 dry = 0;
             } else {

@@ -14,7 +14,7 @@ use noc_arbiter::RoundRobinArbiter;
 use noc_core::{
     ActivityCounters, Axis, ContentionCounters, Coord, Cycle, Direction, Flit, LinkMask,
     ModuleHealth, NodeStatus, PacketId, RouterConfig, RouterOutputs, SlabView, SlabWindow,
-    StepContext, StepReport, VcDescriptor, VcRequest, ALL_VCS, EJECT_VC, MAX_INTERNAL_VCS,
+    StepContext, StepReport, VcClass, VcDescriptor, VcRequest, ALL_VCS, EJECT_VC, MAX_INTERNAL_VCS,
 };
 use noc_routing::{quadrant_mask, DirSet, RouteComputer};
 
@@ -130,36 +130,209 @@ pub struct OutputVcState {
     pub desc: VcDescriptor,
     /// Free buffer slots (credits).
     pub credits: u8,
-    /// Whether the VC is free for allocation to a new packet.
-    pub free: bool,
 }
 
-/// Upstream view of one output link.
+/// `VcClass::derive(side, out)` for every (arrival side, output) pair,
+/// indexed by [`Direction::index`]; `None` where `derive` panics
+/// (U-turns and `Local` to `Local`). A table, so building a port's
+/// admission masks derives no class.
+const CLASS_OF: [[Option<VcClass>; 5]; 5] = {
+    use VcClass::{Dx, Dy, Eject, InjXy, InjYx, Txy, Tyx};
+    [
+        // Arriving on North: N, E, S, W, Local.
+        [None, Some(Tyx), Some(Dy), Some(Tyx), Some(Eject)],
+        // East.
+        [Some(Txy), None, Some(Txy), Some(Dx), Some(Eject)],
+        // South.
+        [Some(Dy), Some(Tyx), None, Some(Tyx), Some(Eject)],
+        // West.
+        [Some(Txy), Some(Dx), Some(Txy), None, Some(Eject)],
+        // Local (injection).
+        [Some(InjYx), Some(InjXy), Some(InjYx), Some(InjXy), None],
+    ]
+};
+
+/// One output link's downstream VCs as bit sets, one set per
+/// descriptor attribute, so VA intersects words instead of calling
+/// [`VcDescriptor::accepts`] per VC. Bit `i` is the link's VC `i`.
+/// For a request arriving on the link's far side,
+/// `by_out[out] & by_order[order] & by_dateline[dateline] & quadrant`
+/// is exactly the set of VCs that `accepts` it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct AdmissionMasks {
+    /// Per downstream output direction: capacity > 0, arrival side,
+    /// class and turn all admit the request.
+    by_out: [u64; 5],
+    /// Per [`noc_core::AxisOrder`]: no order restriction, or that one.
+    by_order: [u64; 2],
+    /// Per dateline class (`false`, `true`): unrestricted, or that one.
+    by_dateline: [u64; 2],
+    /// No quadrant restriction.
+    any_quadrant: u64,
+    /// Restricted to quadrant `q`.
+    by_quadrant: [u64; 4],
+}
+
+impl AdmissionMasks {
+    /// Derives the masks of the VCs `descs`, in link order, on a link
+    /// whose flits arrive on `side` at the downstream router.
+    ///
+    /// # Panics
+    ///
+    /// Panics past 64 descriptors, or on a quadrant index of 4 or more.
+    pub fn derive<'a>(side: Direction, descs: impl IntoIterator<Item = &'a VcDescriptor>) -> Self {
+        let classes = &CLASS_OF[side.index()];
+        let mut m = AdmissionMasks::default();
+        for (i, d) in descs.into_iter().enumerate() {
+            assert!(i < 64, "a link's VCs must fit one u64 word");
+            let bit = 1u64 << i;
+            if d.capacity > 0 && d.arrival.map_or(true, |a| a == side) {
+                for (out, class) in classes.iter().enumerate() {
+                    let turn_ok =
+                        d.turn.map_or(true, |t| t.in_dir == side && t.out_dir.index() == out);
+                    if class.is_some_and(|c| turn_ok && d.admission.admits(c)) {
+                        m.by_out[out] |= bit;
+                    }
+                }
+            }
+            match d.order {
+                None => m.by_order.iter_mut().for_each(|w| *w |= bit),
+                Some(o) => m.by_order[o as usize] |= bit,
+            }
+            match d.dateline {
+                None => m.by_dateline.iter_mut().for_each(|w| *w |= bit),
+                Some(crossed) => m.by_dateline[crossed as usize] |= bit,
+            }
+            match d.quadrant {
+                None => m.any_quadrant |= bit,
+                Some(q) => m.by_quadrant[q as usize] |= bit,
+            }
+        }
+        m
+    }
+
+    /// The VCs admitting `req` (bit `i` = VC `i`): those for which
+    /// [`VcDescriptor::accepts`] holds, provided `req.in_dir` is the side
+    /// these masks were derived for.
+    #[inline]
+    pub fn admissible(&self, req: &VcRequest) -> u64 {
+        let mut quadrant = self.any_quadrant;
+        for q in BitIds(u64::from(req.quadrant_mask) & 0xF) {
+            quadrant |= self.by_quadrant[q];
+        }
+        self.by_out[req.out_dir.index()]
+            & self.by_order[req.order as usize]
+            & self.by_dateline[req.dateline as usize]
+            & quadrant
+    }
+}
+
+/// Upstream view of one output link: the downstream VCs' descriptors
+/// and credits, which of them are free for a new packet, and their
+/// [`AdmissionMasks`]. The masks are derived from the descriptors only
+/// when the link is wired or resynchronised, and the fields are
+/// private, so nothing else can put them out of step.
 #[derive(Debug, Clone)]
 pub struct OutputPort {
     /// Downstream input VCs in link order.
-    pub vcs: Vec<OutputVcState>,
+    vcs: Vec<OutputVcState>,
+    /// Bit `i` set: downstream VC `i` may be allocated to a new packet.
+    free: u64,
+    /// Side the link's flits arrive on at the downstream router.
+    side: Direction,
+    masks: AdmissionMasks,
 }
 
 impl OutputPort {
-    fn new(descs: &[VcDescriptor]) -> Self {
+    fn new(dir: Direction, descs: &[VcDescriptor]) -> Self {
+        let side = dir.opposite();
         OutputPort {
-            vcs: descs
-                .iter()
-                .map(|d| OutputVcState { desc: *d, credits: d.capacity, free: true })
-                .collect(),
+            vcs: descs.iter().map(|d| OutputVcState { desc: *d, credits: d.capacity }).collect(),
+            free: low_bits(descs.len()),
+            side,
+            masks: AdmissionMasks::derive(side, descs),
         }
+    }
+
+    /// Downstream VCs in link order: descriptor and credits.
+    pub fn vcs(&self) -> &[OutputVcState] {
+        &self.vcs
+    }
+
+    /// The free-VC mask (bit `i` = downstream VC `i`).
+    pub fn free(&self) -> u64 {
+        self.free
+    }
+
+    /// Whether downstream VC `dvc` is free for a new packet.
+    pub fn is_free(&self, dvc: usize) -> bool {
+        self.free >> dvc & 1 != 0
+    }
+
+    /// Side the link's flits arrive on at the downstream router.
+    pub fn side(&self) -> Direction {
+        self.side
+    }
+
+    /// The admission masks as last derived.
+    pub fn masks(&self) -> &AdmissionMasks {
+        &self.masks
+    }
+
+    /// The downstream VCs that admit `req` (bit `i` = VC `i`): the VCs
+    /// for which [`VcDescriptor::accepts`] holds. `req.in_dir` must be
+    /// [`OutputPort::side`].
+    pub fn admissible(&self, req: &VcRequest) -> u64 {
+        debug_assert_eq!(req.in_dir, self.side, "request arrives on another link");
+        self.masks.admissible(req)
     }
 
     /// Total free credits over VCs admissible for `req` — the
     /// backpressure congestion signal used by adaptive look-ahead
     /// selection.
     pub fn credit_score(&self, req: &VcRequest) -> i64 {
-        self.vcs
-            .iter()
-            .filter(|v| v.desc.accepts(req))
-            .map(|v| v.credits as i64 + v.free as i64)
+        BitIds(self.admissible(req))
+            .map(|i| self.vcs[i].credits as i64 + (self.free >> i & 1) as i64)
             .sum()
+    }
+
+    fn set_free(&mut self, dvc: usize, free: bool) {
+        if free {
+            self.free |= 1 << dvc;
+        } else {
+            self.free &= !(1 << dvc);
+        }
+    }
+
+    /// Overwrites downstream VC `dvc`'s credit count (test hook for
+    /// seeded corruptions).
+    #[doc(hidden)]
+    pub fn debug_set_credits(&mut self, dvc: usize, credits: u8) {
+        self.vcs[dvc].credits = credits;
+    }
+
+    /// Overwrites downstream VC `dvc`'s free bit (test hook for seeded
+    /// corruptions).
+    #[doc(hidden)]
+    pub fn debug_set_free(&mut self, dvc: usize, free: bool) {
+        self.set_free(dvc, free);
+    }
+
+    /// Flips VC `dvc`'s bit in the admission mask for downstream output
+    /// `out`, leaving the descriptors alone (test hook for seeded
+    /// corruptions, as `FlitSlab::debug_set_head` is for the slab).
+    #[doc(hidden)]
+    pub fn debug_flip_admission(&mut self, out: Direction, dvc: usize) {
+        self.masks.by_out[out.index()] ^= 1 << dvc;
+    }
+}
+
+/// The word with the low `n` bits set (`n` ≤ 64).
+fn low_bits(n: usize) -> u64 {
+    if n == 64 {
+        u64::MAX
+    } else {
+        (1u64 << n) - 1
     }
 }
 
@@ -181,13 +354,13 @@ impl Iterator for BitIds {
     }
 }
 
-/// A VA request: this VC wants that downstream VC.
+/// A VA request: this VC wants that downstream VC. The onward route
+/// stays in the requester's `WaitingVa` state until the grant.
 #[derive(Debug, Clone, Copy)]
 struct VaRequest {
-    vc_id: usize,
+    vc_id: u8,
     out: Direction,
     dvc: u8,
-    next_route: Direction,
 }
 
 /// The shared state and pipeline of every router architecture.
@@ -237,8 +410,6 @@ pub struct RouterCore {
     last_cycle: Cycle,
     /// Reusable VA-request scratch (cleared every `va_stage` call).
     va_requests: Vec<VaRequest>,
-    /// Reusable arbiter request-line scratch.
-    va_lines: Vec<bool>,
     /// Persistent superset of the busy-VC bits (bit `v` set ⇒ VC `v`
     /// *may* be non-idle). [`RouterCore::hot_open`] scans only these
     /// bits and narrows the mask to the exact busy set; the only paths
@@ -288,7 +459,7 @@ impl RouterCore {
         // (or first drop, eject, ...) lands deep into a run.
         let n_vcs = vcs.len();
         assert!(n_vcs <= MAX_INTERNAL_VCS, "{n_vcs} VCs exceed the busy-mask word");
-        let all_vcs = if n_vcs == 64 { u64::MAX } else { (1u64 << n_vcs) - 1 };
+        let all_vcs = low_bits(n_vcs);
         RouterCore {
             coord,
             cfg,
@@ -311,7 +482,6 @@ impl RouterCore {
             inj_dropping: false,
             last_cycle: 0,
             va_requests: Vec::with_capacity(n_vcs),
-            va_lines: Vec::with_capacity(n_vcs),
             hot_mask: u64::MAX,
             all_vcs,
             buffered: 0,
@@ -352,7 +522,7 @@ impl RouterCore {
     pub fn connect_output(&mut self, dir: Direction, descs: &[VcDescriptor]) {
         let n = self.vcs.len().max(1);
         self.va_arbs[dir.index()] = descs.iter().map(|_| RoundRobinArbiter::new(n)).collect();
-        self.outputs[dir.index()] = Some(OutputPort::new(descs));
+        self.outputs[dir.index()] = Some(OutputPort::new(dir, descs));
         self.hot_mask = u64::MAX;
     }
 
@@ -468,7 +638,7 @@ impl RouterCore {
                 if head_still_here {
                     // Nothing was forwarded yet: just release the VC.
                     let port = self.outputs[out.index()].as_mut().expect("output wired");
-                    port.vcs[dvc as usize].free = true;
+                    port.set_free(dvc as usize, true);
                 } else {
                     // The head already moved on: close the wormhole with
                     // a poison tail so every downstream hop releases its
@@ -480,7 +650,7 @@ impl RouterCore {
                     let port = self.outputs[out.index()].as_mut().expect("output wired");
                     let d = &mut port.vcs[dvc as usize];
                     d.credits = d.credits.saturating_sub(1);
-                    d.free = true;
+                    port.set_free(dvc as usize, true);
                     let poison = Flit::poison_tail(packet, src, dst, next_route);
                     self.st_latch.push((out, dvc, poison));
                 }
@@ -571,17 +741,19 @@ impl RouterCore {
         self.hot_mask = u64::MAX;
         let Some(port) = self.outputs[dir.index()].as_mut() else { return };
         debug_assert_eq!(port.vcs.len(), descs.len(), "link VC count is fixed at build time");
-        for (v, d) in port.vcs.iter_mut().zip(descs.iter()) {
+        for (i, d) in descs.iter().enumerate() {
+            let v = &mut port.vcs[i];
             let old_cap = v.desc.capacity;
             let outstanding = old_cap.saturating_sub(v.credits);
             v.desc = *d;
             v.credits = d.capacity.saturating_sub(outstanding);
             if d.capacity == 0 {
-                v.free = false;
+                port.set_free(i, false);
             } else if old_cap == 0 {
-                v.free = true;
+                port.set_free(i, true);
             }
         }
+        port.masks = AdmissionMasks::derive(port.side, descs);
         for vc_id in 0..self.vcs.len() {
             if let VcState::Active { out, dvc, .. } = self.vcs[vc_id].state {
                 if out == dir && dvc != EJECT_VC {
@@ -932,10 +1104,12 @@ impl RouterCore {
                 dateline: self.computer.vc_dateline(head.src, head.dst, b, out.opposite()),
             };
             let port = self.outputs[out.index()].as_ref().expect("output wired");
-            if let Some(dvc) =
-                port.vcs.iter().position(|v| v.free && v.desc.capacity > 0 && v.desc.accepts(&req))
-            {
-                requests.push(VaRequest { vc_id, out, dvc: dvc as u8, next_route });
+            // The lowest free admissible VC: the first one a scan in link
+            // order would accept (admissibility implies capacity > 0).
+            let candidates = port.free & port.admissible(&req);
+            if candidates != 0 {
+                let dvc = candidates.trailing_zeros() as u8;
+                requests.push(VaRequest { vc_id: vc_id as u8, out, dvc });
             } else {
                 // No admissible downstream VC is free this cycle.
                 self.counters.va_failures += 1;
@@ -954,49 +1128,42 @@ impl RouterCore {
             }
         }
         // Sub-pass 4: arbitrate per contested downstream VC and grant.
-        // Unstable sort: never allocates, and within-group order is
-        // immaterial (the winner is picked by vc_id via the arbiter).
-        requests.sort_unstable_by_key(|r| (r.out.index(), r.dvc));
-        let mut lines = std::mem::take(&mut self.va_lines);
-        let mut i = 0;
-        while i < requests.len() {
-            let j = (i..requests.len())
-                .take_while(|&k| {
-                    requests[k].out == requests[i].out && requests[k].dvc == requests[i].dvc
-                })
-                .last()
-                .unwrap()
-                + 1;
-            let group = &requests[i..j];
+        // Groups are independent (each grants its own downstream VC
+        // through its own arbiter), so they go in list order: the first
+        // open request starts a group, and one pass over the open rest
+        // gathers its members into a request word over VC ids.
+        let mut open = low_bits(requests.len());
+        while open != 0 {
+            let VaRequest { out, dvc, .. } = requests[open.trailing_zeros() as usize];
+            let mut word = 0u64;
+            for k in BitIds(open) {
+                let r = requests[k];
+                if r.out == out && r.dvc == dvc {
+                    word |= 1 << r.vc_id;
+                    open &= !(1 << k);
+                }
+            }
             self.counters.va_global_arbs += 1;
             // Every requester but the winner fails this cycle.
-            self.counters.va_failures += group.len() as u64 - 1;
-            let winner = if group.len() == 1 {
-                group[0]
+            self.counters.va_failures += u64::from(word.count_ones()) - 1;
+            // A lone requester wins without touching the arbiter.
+            let winner = if word & (word - 1) == 0 {
+                word.trailing_zeros() as usize
             } else {
-                lines.clear();
-                lines.resize(self.vcs.len(), false);
-                for r in group {
-                    lines[r.vc_id] = true;
-                }
-                let arb = &mut self.va_arbs[group[0].out.index()][group[0].dvc as usize];
-                let w = arb.arbitrate(&lines).expect("at least one requester");
-                *group.iter().find(|r| r.vc_id == w).expect("winner requested")
+                let arb = &mut self.va_arbs[out.index()][dvc as usize];
+                arb.arbitrate(word).expect("at least one requester")
             };
-            let port = self.outputs[winner.out.index()].as_mut().expect("output wired");
-            port.vcs[winner.dvc as usize].free = false;
-            self.vcs[winner.vc_id].state = VcState::Active {
-                out: winner.out,
-                dvc: winner.dvc,
-                next_route: winner.next_route,
-                sa_from: self.sa_from(ctx.cycle),
+            let VcState::WaitingVa { next_route } = self.vcs[winner].state else {
+                unreachable!("a VA requester waits for VA until granted");
             };
-            if let Some(a) = winner.out.axis() {
+            let port = self.outputs[out.index()].as_mut().expect("output wired");
+            port.set_free(dvc as usize, false);
+            self.vcs[winner].state =
+                VcState::Active { out, dvc, next_route, sa_from: self.sa_from(ctx.cycle) };
+            if let Some(a) = out.axis() {
                 va_activity[Self::module_of(a)] = true;
             }
-            i = j;
         }
-        self.va_lines = lines;
         self.va_requests = requests;
         va_activity
     }
@@ -1008,18 +1175,6 @@ impl RouterCore {
         self.cfg.router == noc_core::RouterKind::Generic
     }
 
-    /// Last-resort reaction when the head's committed output leads into
-    /// a fault: try to re-route it out of a *different* output of this
-    /// router, and otherwise drop (RoCo) or block (baselines).
-    ///
-    /// Re-routing in place is only physically possible when the flit
-    /// sits in a direction-agnostic buffer — the generic router's
-    /// `Any`-admission VCs or a Path-Sensitive path set (whose two
-    /// outputs cover every minimal candidate) — and only adaptive
-    /// routing offers an alternative minimal direction at all. The RoCo
-    /// router's Guided Flit Queuing pins a flit to one module, so it
-    /// relies on its §4.1 handshake to discard the packet gracefully
-    /// upstream instead.
     /// Candidate outputs at `cur`, fault-aware when the step context
     /// carries a link mask (ISSUE 8): masked candidates exclude links
     /// the published statuses declare unusable and may substitute the
@@ -1040,6 +1195,18 @@ impl RouterCore {
         }
     }
 
+    /// Last-resort reaction when the head's committed output leads into
+    /// a fault: try to re-route it out of a *different* output of this
+    /// router, and otherwise drop (RoCo) or block (baselines).
+    ///
+    /// Re-routing in place is only physically possible when the flit
+    /// sits in a direction-agnostic buffer — the generic router's
+    /// `Any`-admission VCs or a Path-Sensitive path set (whose two
+    /// outputs cover every minimal candidate) — and only adaptive
+    /// routing offers an alternative minimal direction at all. The RoCo
+    /// router's Guided Flit Queuing pins a flit to one module, so it
+    /// relies on its §4.1 handshake to discard the packet gracefully
+    /// upstream instead.
     fn reroute_or_fail(
         &mut self,
         slab: &mut SlabWindow<'_>,
@@ -1229,7 +1396,7 @@ impl RouterCore {
                 // Canonical VC reuse: the downstream VC is reallocatable
                 // as soon as the previous packet's tail has been sent
                 // into it; successor flits queue behind it in FIFO order.
-                d.free = true;
+                port.set_free(dvc as usize, true);
             }
         }
         flit.next_out = next_route;
@@ -1352,22 +1519,32 @@ impl RouterCore {
         }
     }
 
-    /// Records an SA contention observation: a crossbar input with at
-    /// least one eligible request for an output on `axis` either won
-    /// (`granted`) or was blocked.
-    pub fn record_contention(&mut self, axis: Axis, granted: bool) {
-        match axis {
-            Axis::X => {
-                self.contention.x_requests += 1;
-                if !granted {
-                    self.contention.x_blocked += 1;
-                }
-            }
-            Axis::Y => {
-                self.contention.y_requests += 1;
-                if !granted {
-                    self.contention.y_blocked += 1;
-                }
+    /// Records SA contention observations: `requests` crossbar inputs
+    /// with at least one eligible request for an output on `axis`, of
+    /// which `granted` won and the rest were blocked.
+    pub fn record_contention(&mut self, axis: Axis, requests: u64, granted: u64) {
+        debug_assert!(granted <= requests, "more grants than requests");
+        let c = &mut self.contention;
+        let (req, blocked) = match axis {
+            Axis::X => (&mut c.x_requests, &mut c.x_blocked),
+            Axis::Y => (&mut c.y_requests, &mut c.y_blocked),
+        };
+        *req += requests;
+        *blocked += requests - granted;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn class_table_matches_derive() {
+        for side in Direction::ALL {
+            for out in Direction::ALL {
+                let rejected = side == out;
+                let want = (!rejected).then(|| VcClass::derive(side, out));
+                assert_eq!(CLASS_OF[side.index()][out.index()], want, "{side} -> {out}");
             }
         }
     }

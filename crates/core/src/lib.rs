@@ -36,6 +36,6 @@ mod engine;
 mod roco;
 mod router;
 
-pub use engine::{BitIds, OutputPort, OutputVcState, RouterCore, Vc, VcState};
+pub use engine::{AdmissionMasks, BitIds, OutputPort, OutputVcState, RouterCore, Vc, VcState};
 pub use roco::{class_histogram, table1_vcs, ModulePort, RocoVcSpec};
 pub use router::Router;

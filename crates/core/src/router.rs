@@ -138,17 +138,20 @@ impl Separable {
         core.counters.sa_local_arbs += effort.local_ops;
         core.counters.sa_global_arbs += effort.global_ops;
         let mut freed = false;
+        let mut granted = 0u64;
         for g in &self.grants {
-            freed |= core.apply_grant(slab, g.input * v + g.vc);
+            let vc_id = g.input * v + g.vc;
+            freed |= core.apply_grant(slab, vc_id);
+            granted |= 1 << vc_id;
         }
         // Fig 3 contention accounting: one observation per eligible VC
         // request, classified by its arrival link's axis ("row input" =
         // the East/West ports, "column input" = North/South); injection
         // VCs are not row/column inputs and are skipped.
         for r in &self.requests {
-            let Some(axis) = core.vcs[r.input * v + r.vc].input_side.axis() else { continue };
-            let granted = self.grants.iter().any(|g| g.input == r.input && g.vc == r.vc);
-            core.record_contention(axis, granted);
+            let vc_id = r.input * v + r.vc;
+            let Some(axis) = core.vcs[vc_id].input_side.axis() else { continue };
+            core.record_contention(axis, 1, granted >> vc_id & 1);
         }
         freed
     }
@@ -248,7 +251,9 @@ impl Router {
                     let port = spec.port as usize;
                     port_vcs[port].push(layout.add(spec.desc, port));
                 }
-                SwitchAlloc::Modules(Modules::new(port_vcs, v))
+                let injection_vcs =
+                    layout.link_map[Direction::Local.index()].iter().fold(0, |m, &id| m | 1 << id);
+                SwitchAlloc::Modules(Modules::new(port_vcs, v, injection_vcs))
             }
         };
         debug_assert!(

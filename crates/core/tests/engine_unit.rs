@@ -90,7 +90,7 @@ fn va_grants_and_consumes_downstream_vc() {
         VcState::Active { out, dvc, .. } => {
             assert_eq!(out, Direction::East);
             let port = core.outputs[Direction::East.index()].as_ref().unwrap();
-            assert!(!port.vcs[dvc as usize].free, "granted VC is no longer free");
+            assert!(!port.is_free(dvc as usize), "granted VC is no longer free");
         }
         other => panic!("expected Active after VA, got {other:?}"),
     }
@@ -116,7 +116,7 @@ fn sa_requires_credits() {
     core.va_stage(&mut ctx, &mut slab.window(0), ALL_VCS);
     let VcState::Active { dvc, .. } = core.vcs[0].state else { panic!("active") };
     // Exhaust the downstream credits.
-    core.outputs[Direction::East.index()].as_mut().unwrap().vcs[dvc as usize].credits = 0;
+    core.outputs[Direction::East.index()].as_mut().unwrap().debug_set_credits(dvc as usize, 0);
     assert_eq!(core.sa_candidate(&slab.view(0), 0), None, "no credits, no switch request");
     // A credit restores eligibility.
     core.deliver_credit(Direction::East, Credit { vc: dvc, vc_freed: false });
@@ -146,8 +146,8 @@ fn apply_grant_emits_credit_and_frees_on_tail() {
     assert_eq!(core.pending_credits.len(), 1, "upstream credit queued");
     assert_eq!(core.pending_credits[0].0, Direction::West);
     let port = core.outputs[Direction::East.index()].as_ref().unwrap();
-    assert_eq!(port.vcs[dvc as usize].credits, 3, "one downstream slot consumed");
-    assert!(port.vcs[dvc as usize].free, "freed at tail transmission");
+    assert_eq!(port.vcs()[dvc as usize].credits, 3, "one downstream slot consumed");
+    assert!(port.is_free(dvc as usize), "freed at tail transmission");
     assert_eq!(core.st_latch.len(), 1, "flit latched for switch traversal");
 }
 

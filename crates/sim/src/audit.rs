@@ -35,6 +35,9 @@
 //!   incremental occupancy/source
 //!   totals match a from-scratch re-derivation (the release-mode
 //!   version of the kernel's debug assertions).
+//! * **VC mask coherence** — every wired output's admission masks equal
+//!   the masks re-derived from its downstream descriptors, and its
+//!   free mask sets no bit at or beyond its VC count.
 //!
 //! Violations are recorded as structured [`AuditViolation`]s (cycle,
 //! router, link/VC, packet, post-mortem-style detail) and surfaced in
@@ -45,7 +48,7 @@ use crate::config::AuditConfig;
 use crate::network::Simulation;
 use crate::postmortem::VcPhase;
 use noc_core::{Coord, Cycle, Direction, Flit, NodeStatus, EJECT_VC};
-use noc_router::VcState;
+use noc_router::{AdmissionMasks, VcState};
 use std::collections::{HashMap, HashSet};
 
 /// The invariant families the auditor distinguishes. Mutation-style
@@ -71,11 +74,14 @@ pub enum AuditKind {
     /// The flat flit slab's ring indices or the router's incremental
     /// buffered counter diverged from the slab contents (ISSUE 10).
     SlabCoherence,
+    /// An output port's free or admission masks disagree with its
+    /// downstream VC descriptors.
+    VcCoherence,
 }
 
 impl AuditKind {
     /// Every kind, in reporting order.
-    pub const ALL: [AuditKind; 8] = [
+    pub const ALL: [AuditKind; 9] = [
         AuditKind::Conservation,
         AuditKind::CreditBook,
         AuditKind::StreamOrder,
@@ -84,6 +90,7 @@ impl AuditKind {
         AuditKind::Quiescence,
         AuditKind::Accounting,
         AuditKind::SlabCoherence,
+        AuditKind::VcCoherence,
     ];
 
     /// Stable index into per-kind count arrays.
@@ -97,6 +104,7 @@ impl AuditKind {
             AuditKind::Quiescence => 5,
             AuditKind::Accounting => 6,
             AuditKind::SlabCoherence => 7,
+            AuditKind::VcCoherence => 8,
         }
     }
 
@@ -111,6 +119,7 @@ impl AuditKind {
             AuditKind::Quiescence => "quiescence",
             AuditKind::Accounting => "accounting",
             AuditKind::SlabCoherence => "slab-coherence",
+            AuditKind::VcCoherence => "vc-coherence",
         }
     }
 }
@@ -267,7 +276,7 @@ pub struct Auditor {
     checks_run: u64,
     flits_observed: u64,
     total: u64,
-    counts: [u64; 8],
+    counts: [u64; 9],
     recorded: Vec<AuditViolation>,
     /// Whether the final end-of-run checks have fired.
     done: bool,
@@ -293,7 +302,7 @@ impl Auditor {
             checks_run: 0,
             flits_observed: 0,
             total: 0,
-            counts: [0; 8],
+            counts: [0; 9],
             recorded: Vec::new(),
             done: false,
         }
@@ -759,7 +768,7 @@ impl Auditor {
             for dir in Direction::MESH {
                 let Some(n) = sim.neighbor_idx[i][dir.index()] else { continue };
                 let books =
-                    sim.routers[i].core.outputs[dir.index()].as_ref().map_or(&[][..], |p| &p.vcs);
+                    sim.routers[i].core.outputs[dir.index()].as_ref().map_or(&[][..], |p| p.vcs());
                 let opp = dir.opposite();
                 let d_idx = dir.index() as u8;
                 let o_idx = opp.index() as u8;
@@ -911,7 +920,8 @@ impl Auditor {
                     );
                     continue;
                 }
-                match core.outputs[out.index()].as_ref().and_then(|p| p.vcs.get(dvc as usize)) {
+                let port = core.outputs[out.index()].as_ref();
+                match port.filter(|p| (dvc as usize) < p.vcs().len()) {
                     None => self.violate(
                         AuditKind::VcState,
                         cycle,
@@ -921,7 +931,7 @@ impl Auditor {
                         None,
                         "active stream holds a downstream VC that does not exist".into(),
                     ),
-                    Some(b) if b.free => self.violate(
+                    Some(p) if p.is_free(dvc as usize) => self.violate(
                         AuditKind::VcState,
                         cycle,
                         Some(coord),
@@ -941,6 +951,43 @@ impl Auditor {
                         Some(dvc),
                         None,
                         "two input VCs hold the same downstream VC".into(),
+                    );
+                }
+            }
+        }
+
+        // Mask coherence: each wired output's masks against a fresh
+        // derivation from its descriptors.
+        for (i, r) in sim.routers.iter().enumerate() {
+            for dir in Direction::MESH {
+                let Some(port) = r.core.outputs[dir.index()].as_ref() else { continue };
+                let derived =
+                    AdmissionMasks::derive(port.side(), port.vcs().iter().map(|v| &v.desc));
+                if derived != *port.masks() {
+                    self.violate(
+                        AuditKind::VcCoherence,
+                        cycle,
+                        Some(self.coord(i)),
+                        Some(dir),
+                        None,
+                        None,
+                        format!(
+                            "admission masks {:?} != masks derived from the descriptors {derived:?}",
+                            port.masks()
+                        ),
+                    );
+                }
+                let n = port.vcs().len();
+                let stray = if n >= 64 { 0 } else { port.free() >> n };
+                if stray != 0 {
+                    self.violate(
+                        AuditKind::VcCoherence,
+                        cycle,
+                        Some(self.coord(i)),
+                        Some(dir),
+                        Some((n + stray.trailing_zeros() as usize) as u8),
+                        None,
+                        format!("free-mask bit set at or beyond the port's {n} VCs"),
                     );
                 }
             }
@@ -1281,8 +1328,8 @@ mod tests {
             let core = &mut sim.routers[i].core;
             for d in 0..4 {
                 if let Some(p) = core.outputs[d].as_mut() {
-                    if let Some(v) = p.vcs.iter_mut().find(|v| v.credits > 0) {
-                        v.credits -= 1;
+                    if let Some(v) = p.vcs().iter().position(|v| v.credits > 0) {
+                        p.debug_set_credits(v, p.vcs()[v].credits - 1);
                         hit = true;
                         break 'outer;
                     }
@@ -1525,10 +1572,48 @@ mod tests {
         }
         let (i, out, dvc) = target.expect("no active stream found");
         let core = &mut sim.routers[i].core;
-        core.outputs[out.index()].as_mut().expect("wired output").vcs[dvc as usize].free = true;
+        core.outputs[out.index()]
+            .as_mut()
+            .expect("wired output")
+            .debug_set_free(dvc as usize, true);
         sim.audit_sweep_now();
         let report = sim.results().audit.expect("enabled");
         assert!(count_of(&report, AuditKind::VcState) > 0, "{}", report.render());
+    }
+
+    /// Asserts that every violation `sim`'s audit recorded is of `kind`,
+    /// and that there is at least one.
+    fn assert_only(sim: &Simulation, kind: AuditKind) {
+        let report = sim.results().audit.expect("enabled");
+        assert!(count_of(&report, kind) > 0, "{}", report.render());
+        assert_eq!(
+            report.total_violations,
+            count_of(&report, kind),
+            "corruption misattributed to another class: {}",
+            report.render()
+        );
+    }
+
+    #[test]
+    fn flipped_admission_bit_flags_vc_coherence() {
+        let mut sim = clean_sim_after(50);
+        let port = sim.routers[5].core.outputs[Direction::East.index()]
+            .as_mut()
+            .expect("an interior router's outputs are wired");
+        port.debug_flip_admission(Direction::North, 0);
+        sim.audit_sweep_now();
+        assert_only(&sim, AuditKind::VcCoherence);
+    }
+
+    #[test]
+    fn free_bit_beyond_the_port_flags_vc_coherence() {
+        let mut sim = clean_sim_after(50);
+        let port = sim.routers[5].core.outputs[Direction::East.index()]
+            .as_mut()
+            .expect("an interior router's outputs are wired");
+        port.debug_set_free(port.vcs().len(), true);
+        sim.audit_sweep_now();
+        assert_only(&sim, AuditKind::VcCoherence);
     }
 
     /// A 4×4 RoCo simulation stepped `cycles` times whose audit is still

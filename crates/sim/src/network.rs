@@ -1065,7 +1065,7 @@ impl Simulation {
                 let node = Coord::from_index(i, mesh.width);
                 Direction::MESH.into_iter().filter_map(move |output| {
                     let port = r.core.outputs[output.index()].as_ref()?;
-                    let credits = port.vcs.iter().map(|v| v.credits).collect();
+                    let credits = port.vcs().iter().map(|v| v.credits).collect();
                     Some(CreditLine { node, output, credits })
                 })
             })

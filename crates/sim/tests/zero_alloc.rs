@@ -50,6 +50,33 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
+/// The legs: every architecture under XY at the paper configuration,
+/// RoCo's separable-allocator ablation with non-speculative SA, and a
+/// generic odd-even router with 12 VCs per port (60-bit VA words).
+fn legs() -> Vec<(String, SimConfig)> {
+    let leg = |router, routing| {
+        let mut cfg = SimConfig::paper_scaled(router, routing, TrafficKind::Uniform);
+        // Enough packets that generation never finishes mid-test.
+        cfg.warmup_packets = 1_000_000;
+        cfg.measured_packets = 1_000_000;
+        cfg.injection_rate = 0.1;
+        cfg
+    };
+    let mut legs: Vec<(String, SimConfig)> =
+        [RouterKind::RoCo, RouterKind::Generic, RouterKind::PathSensitive]
+            .into_iter()
+            .map(|router| (format!("{router:?}"), leg(router, RoutingKind::Xy)))
+            .collect();
+    let mut separable = leg(RouterKind::RoCo, RoutingKind::Xy);
+    separable.mirror_allocator = false;
+    separable.speculative_sa = false;
+    legs.push(("RoCo separable non-speculative".into(), separable));
+    let mut wide = leg(RouterKind::Generic, RoutingKind::AdaptiveOddEven);
+    wide.vcs_per_port = Some(12);
+    legs.push(("Generic odd-even 12 VCs per port".into(), wide));
+    legs
+}
+
 #[test]
 fn steady_state_step_is_allocation_free() {
     PANIC_ON_ALLOC.store(std::env::var_os("NOC_ALLOC_PANIC").is_some(), Ordering::SeqCst);
@@ -57,12 +84,7 @@ fn steady_state_step_is_allocation_free() {
     // each leg also proves the flit path itself never allocates (a
     // flit hop is an index move inside the pre-sized slab).
     for kernel in [KernelMode::Reference, KernelMode::Soa] {
-        for router in [RouterKind::RoCo, RouterKind::Generic, RouterKind::PathSensitive] {
-            let mut cfg = SimConfig::paper_scaled(router, RoutingKind::Xy, TrafficKind::Uniform);
-            // Enough packets that generation never finishes mid-test.
-            cfg.warmup_packets = 1_000_000;
-            cfg.measured_packets = 1_000_000;
-            cfg.injection_rate = 0.1;
+        for (router, mut cfg) in legs() {
             cfg.kernel = kernel;
             let mut sim = Simulation::new(cfg);
             // The slab is sized once at construction: nominal VC depth
@@ -84,12 +106,12 @@ fn steady_state_step_is_allocation_free() {
             let n = ALLOCS.load(Ordering::SeqCst);
             assert_eq!(
                 n, 0,
-                "{kernel:?}/{router:?}: {n} heap allocation(s) in 1000 steady-state cycles"
+                "{kernel:?}/{router}: {n} heap allocation(s) in 1000 steady-state cycles"
             );
             assert_eq!(
                 (sim.slab().footprint_bytes(), sim.slab().slot_count()),
                 (slab_bytes, slab_slots),
-                "{kernel:?}/{router:?}: slab grew after construction"
+                "{kernel:?}/{router}: slab grew after construction"
             );
         }
     }
